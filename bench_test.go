@@ -212,7 +212,7 @@ func BenchmarkFig9_ADLB(b *testing.B) {
 // --- Parallel exploration engine ------------------------------------------
 
 // BenchmarkParallelExplore_Matmul sweeps the worker-pool size over the
-// Figure 6 matmul configuration (workers=0 is the serial legacy explorer).
+// Figure 6 matmul configuration (workers=0 is the serial explorer).
 // Wall-clock gains track the machine's core count; the interleavings metric
 // shows the covered set is identical at every pool size.
 func BenchmarkParallelExplore_Matmul(b *testing.B) {

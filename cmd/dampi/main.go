@@ -297,6 +297,9 @@ func main() {
 	if *resume && *workers < 1 && *serve == "" {
 		fatal(fmt.Errorf("-resume requires -workers >= 1 (or -serve)"))
 	}
+	if *ckpFile != "" && *workers < 1 && *serve == "" && *join == "" {
+		fatal(fmt.Errorf("-checkpoint requires -workers >= 1 (or -serve): the serial engine writes no checkpoints"))
+	}
 	if *serve != "" && *join != "" {
 		fatal(fmt.Errorf("-serve and -join are mutually exclusive"))
 	}

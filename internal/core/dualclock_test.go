@@ -120,8 +120,9 @@ func TestDualClockFanInCoverage(t *testing.T) {
 // TestDualClockReplayStability: epoch identities must stay stable across
 // guided replays in dual-clock mode too.
 func TestDualClockReplayStability(t *testing.T) {
-	ex := NewExplorer(ExplorerConfig{Procs: 4, Program: fanInProgram(4, 2), DualClock: true})
-	trace1, _, err := ex.runOnce(nil)
+	cfg := ExplorerConfig{Procs: 4, Program: fanInProgram(4, 2), DualClock: true}
+	rc := NewRunContext(&cfg)
+	trace1, _, err := rc.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestDualClockReplayStability(t *testing.T) {
 	for _, e := range trace1.Epochs {
 		d.Force(e.ID(), e.Chosen)
 	}
-	_, res, err := ex.runOnce(d)
+	_, res, err := rc.Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}

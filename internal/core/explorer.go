@@ -49,9 +49,8 @@ type ExplorerConfig struct {
 	// it on.
 	ChoicePoints bool
 	// Sampler, when non-nil, replaces exhaustive task expansion with a
-	// schedule-sampling policy (see SubtreeTask.Expand). Samplers require
-	// the task-based engines (dexplore/dcoord); the serial Explorer ignores
-	// this field.
+	// schedule-sampling policy (see SubtreeTask.Expand); every engine routes
+	// its completions through that seam.
 	Sampler Sampler
 	// SampleDepth bounds the exhaustive zone under a Sampler: tasks at
 	// Depth >= SampleDepth spawn no exhaustive children ("exhaustive below
@@ -158,24 +157,13 @@ type Report struct {
 // Errored reports whether any interleaving failed.
 func (r *Report) Errored() bool { return len(r.Errors) > 0 }
 
-// frame is one epoch decision point on the DFS stack.
-type frame struct {
-	id         EpochID
-	chosen     int   // source forced when reproducing the prefix
-	alts       []int // unexplored alternate sources
-	explorable bool
-	budget     int // remaining mixing depth below a flip here (-1 = unbounded)
-}
-
-// Explorer is the paper's Schedule Generator: it owns the DFS stack over
-// epoch decisions and drives guided replays until the space (as bounded by
-// the heuristics) is covered.
+// Explorer is the paper's Schedule Generator: a depth-first search over
+// epoch decisions that drives guided replays until the space (as bounded by
+// the heuristics) is covered. The search is a LIFO stack of subtree tasks
+// expanded by SubtreeTask.Expand — the same derivation the parallel and
+// distributed engines schedule — run on one RunContext.
 type Explorer struct {
-	cfg    ExplorerConfig
-	rc     *RunContext
-	stack  []*frame
-	forced map[EpochID]*frame
-	report *Report
+	cfg ExplorerConfig
 }
 
 // NewExplorer creates an explorer for the given configuration.
@@ -186,166 +174,46 @@ func NewExplorer(cfg ExplorerConfig) *Explorer {
 	if cfg.Program == nil {
 		panic("core: ExplorerConfig.Program must be set")
 	}
-	e := &Explorer{cfg: cfg, forced: make(map[EpochID]*frame), report: &Report{}}
-	e.rc = NewRunContext(&e.cfg)
-	return e
+	return &Explorer{cfg: cfg}
 }
 
 // Explore runs the initial self-discovery run and then replays alternate
 // matches depth-first until coverage (under the configured bounds) is
 // complete, the interleaving cap is reached, or StopOnFirstError fires.
 func (e *Explorer) Explore() (*Report, error) {
-	trace, res, err := e.runOnce(nil)
-	if err != nil {
-		return nil, err
-	}
-	e.report.WildcardsAnalyzed = len(trace.Epochs)
-	e.report.Unsafe = trace.Unsafe
-	e.report.FirstTrace = trace
-	e.record(res)
-	if !(res.Deadlock) {
-		e.pushNew(trace, nil)
-	}
-	if e.cfg.StopOnFirstError && res.Err != nil {
-		return e.report, nil
-	}
-
-	for {
-		if e.cfg.MaxInterleavings > 0 && e.report.Interleavings >= e.cfg.MaxInterleavings {
-			if e.pendingWork() {
-				e.report.Capped = true
-			}
+	cfg := &e.cfg
+	rc := NewRunContext(cfg)
+	var tally Tally
+	stack := []*SubtreeTask{RootTask(cfg)}
+	for len(stack) > 0 {
+		if cfg.MaxInterleavings > 0 && tally.Interleavings >= cfg.MaxInterleavings {
 			break
 		}
-		f := e.nextFlip()
-		if f == nil {
-			break
-		}
-		// Flip: take the next unexplored alternate at the deepest frame.
-		f.chosen = f.alts[0]
-		f.alts = f.alts[1:]
-		decisions := e.buildDecisions()
-		trace, res, err := e.runOnce(decisions)
+		t := stack[len(stack)-1]
+		stack[len(stack)-1] = nil
+		stack = stack[:len(stack)-1]
+		trace, res, err := rc.Run(t.Decisions)
 		if err != nil {
 			return nil, err
 		}
-		e.record(res)
-		if !res.Deadlock {
-			e.pushNew(trace, f)
+		res.Index = tally.Interleavings
+		if t.Decisions == nil {
+			tally.Root(trace)
 		}
-		if e.cfg.StopOnFirstError && res.Err != nil {
+		var ex *Expansion
+		if !res.Deadlock {
+			ex = t.Expand(cfg, trace)
+			stack = append(stack, ex.Children...)
+		}
+		tally.Record(res, ex, t.Sample != nil)
+		if cfg.OnInterleaving != nil {
+			cfg.OnInterleaving(res)
+		}
+		if cfg.StopOnFirstError && res.Err != nil {
 			break
 		}
 	}
-	if h := e.cfg.PruneHints; h != nil {
-		e.report.StaticPruned = h.Pruned()
-		e.report.PruneDisabled = h.Disabled()
-		e.report.PruneViolations = h.Violations()
-	}
-	return e.report, nil
-}
-
-// nextFlip pops exhausted frames and returns the deepest flippable frame.
-func (e *Explorer) nextFlip() *frame {
-	for len(e.stack) > 0 {
-		top := e.stack[len(e.stack)-1]
-		if top.explorable && len(top.alts) > 0 {
-			return top
-		}
-		e.stack = e.stack[:len(e.stack)-1]
-		delete(e.forced, top.id)
-	}
-	return nil
-}
-
-// pendingWork reports whether unexplored alternates remain on the stack.
-func (e *Explorer) pendingWork() bool {
-	for _, f := range e.stack {
-		if f.explorable && len(f.alts) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// buildDecisions forces every stacked frame's current choice: the replay
-// reproduces the whole prefix up to (and including) the flipped frame.
-func (e *Explorer) buildDecisions() *Decisions {
-	d := NewDecisions()
-	for _, f := range e.stack {
-		if f.chosen >= 0 {
-			d.Force(f.id, f.chosen)
-		}
-	}
-	return d
-}
-
-// pushNew appends frames for epochs discovered beyond the forced prefix.
-// flipped is the frame whose flip produced this run (nil for the initial
-// run); bounded mixing derives the new frames' explorability from it.
-func (e *Explorer) pushNew(trace *RunTrace, flipped *frame) {
-	explorable := true
-	budget := e.cfg.MixingBound
-	if flipped != nil {
-		budget, explorable = childBudget(flipped.budget)
-	}
-	det := newLoopDetector(e.cfg.AutoLoopThreshold)
-	for _, rec := range trace.Epochs {
-		if rec.Chosen < 0 {
-			continue // never completed; nothing to reproduce or flip
-		}
-		autoLoop := det.observe(rec)
-		if autoLoop {
-			e.report.AutoAbstracted++
-		}
-		e.cfg.PruneHints.Observe(rec)
-		id := rec.ID()
-		if _, ok := e.forced[id]; ok {
-			continue // part of the forced prefix
-		}
-		canFlip := explorable && !rec.InLoop && !autoLoop
-		alts := append([]int(nil), rec.Alternates...)
-		if canFlip && e.cfg.PruneHints.ShouldPrune(rec) {
-			// Statically deterministic decision point: keep the frame so the
-			// prefix still pins the observed choice, but skip its branches.
-			alts = nil
-		}
-		f := &frame{
-			id:         id,
-			chosen:     rec.Chosen,
-			alts:       alts,
-			explorable: canFlip,
-			budget:     budget,
-		}
-		e.stack = append(e.stack, f)
-		e.forced[id] = f
-		e.report.DecisionPoints++
-	}
-}
-
-// record accounts one interleaving's outcome.
-func (e *Explorer) record(res *InterleavingResult) {
-	e.report.Interleavings++
-	if res.Err != nil {
-		e.report.Errors = append(e.report.Errors, res)
-	}
-	if res.Deadlock {
-		e.report.Deadlocks++
-	}
-	if e.cfg.OnInterleaving != nil {
-		e.cfg.OnInterleaving(res)
-	}
-}
-
-// runOnce executes one (self or guided) instrumented run and stamps the
-// result with the explorer's current interleaving index.
-func (e *Explorer) runOnce(decisions *Decisions) (*RunTrace, *InterleavingResult, error) {
-	trace, res, err := e.rc.Run(decisions)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Index = e.report.Interleavings
-	return trace, res, nil
+	return tally.Report(cfg, len(stack)), nil
 }
 
 // RunContext is a reusable replay slot: it executes sequential instrumented

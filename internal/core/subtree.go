@@ -1,11 +1,12 @@
 package core
 
-// This file factors the schedule generator's frame logic — mixing-budget
-// inheritance, automatic loop detection, and the derivation of child
-// decision prefixes from a completed run's trace — into a form both the
-// serial Explorer and the parallel engine (internal/dexplore) share. A
-// SubtreeTask is the unit the parallel engine distributes: one subtree of
-// the epoch-decision DFS, identified by its forced-decision prefix.
+// This file holds the schedule generator's one depth-first derivation —
+// mixing-budget inheritance, automatic loop detection, and the derivation of
+// child decision prefixes from a completed run's trace — as operations on
+// SubtreeTask: one subtree of the epoch-decision DFS, identified by its
+// forced-decision prefix. The serial Explorer keeps the tasks on a LIFO
+// stack, internal/dexplore on work-stealing deques, and internal/dcoord
+// leases them to remote workers.
 
 // SubtreeTask is one independently explorable unit of the epoch-decision
 // search: replay the program under Decisions, then expand every newly
@@ -89,7 +90,7 @@ type Expansion struct {
 	// Children are the subtree tasks spawned by flipping each explorable
 	// new epoch to each of its alternates, in depth-first order: flipping
 	// the deepest epoch's first alternate comes last, so a LIFO frontier
-	// pops it first, mirroring the serial explorer's order.
+	// pops it first and works through each epoch's alternates in order.
 	Children []*SubtreeTask
 	// DecisionPoints counts the new epoch decision points this run
 	// discovered beyond the forced prefix (explorable or not).
@@ -110,11 +111,12 @@ func (t *SubtreeTask) Expand(cfg *ExplorerConfig, trace *RunTrace) *Expansion {
 	return t.ExpandExhaustive(cfg, trace)
 }
 
-// ExpandExhaustive is the exhaustive DFS derivation, mirroring the serial
-// explorer's pushNew/buildDecisions exactly: a child's prefix is the task's
-// own decisions, plus every new epoch observed before the flipped one pinned
-// to its observed choice, plus the flip itself. Samplers call it for the
-// depth-bounded exhaustive zone below their sampling frontier.
+// ExpandExhaustive is the exhaustive DFS derivation: a child's prefix is the
+// task's own decisions, plus every new epoch observed before the flipped one
+// pinned to its observed choice, plus the flip itself. Each epoch's children
+// are emitted in reverse alternate order, so a LIFO frontier pops
+// Alternates[0] first. Samplers call it for the depth-bounded exhaustive
+// zone below their sampling frontier.
 func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Expansion {
 	ex := &Expansion{}
 	det := newLoopDetector(cfg.AutoLoopThreshold)
@@ -134,7 +136,8 @@ func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Ex
 		}
 		ex.DecisionPoints++
 		if t.Explorable && !rec.InLoop && !autoLoop && !cfg.PruneHints.ShouldPrune(rec) {
-			for _, alt := range rec.Alternates {
+			for i := len(rec.Alternates) - 1; i >= 0; i-- {
+				alt := rec.Alternates[i]
 				// Each child adds the prefix pins plus the flip itself on top
 				// of the inherited decisions; size the clone for them up front.
 				d := t.Decisions.CloneWithCapacity(len(prefix) + 1)

@@ -57,11 +57,13 @@ func TestExpandRoot(t *testing.T) {
 	if got, want := ex.Children[0].Decisions.String(), "{r0:[1→3]}"; got != want {
 		t.Errorf("child 0 decisions = %s, want %s", got, want)
 	}
-	// Later children pin the earlier epoch to its observed choice.
-	if got, want := ex.Children[1].Decisions.String(), "{r0:[1→2] r1:[4→2]}"; got != want {
+	// Later children pin the earlier epoch to its observed choice. Each
+	// epoch's alternates come in reverse, so a LIFO frontier pops the
+	// deepest epoch's Alternates[0] first.
+	if got, want := ex.Children[1].Decisions.String(), "{r0:[1→2] r1:[4→3]}"; got != want {
 		t.Errorf("child 1 decisions = %s, want %s", got, want)
 	}
-	if got, want := ex.Children[2].Decisions.String(), "{r0:[1→2] r1:[4→3]}"; got != want {
+	if got, want := ex.Children[2].Decisions.String(), "{r0:[1→2] r1:[4→2]}"; got != want {
 		t.Errorf("child 2 decisions = %s, want %s", got, want)
 	}
 	// Bounded mixing: the root carries k=1, so children get budget 0 and stay
@@ -91,8 +93,8 @@ func TestExpandSkipsForcedPrefix(t *testing.T) {
 	}
 	// Children inherit the task's prefix plus the flip; the forced epoch is
 	// not re-pinned via the observed path (it is already in the prefix).
-	if got, want := ex.Children[0].Decisions.String(), "{r0:[1→3] r1:[4→2]}"; got != want {
-		t.Errorf("child 0 decisions = %s, want %s", got, want)
+	if got, want := ex.Children[1].Decisions.String(), "{r0:[1→3] r1:[4→2]}"; got != want {
+		t.Errorf("child 1 decisions = %s, want %s", got, want)
 	}
 	// The task's own decisions must not be mutated by expansion.
 	if got, want := d.String(), "{r0:[1→3]}"; got != want {

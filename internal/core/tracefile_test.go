@@ -9,8 +9,8 @@ import (
 )
 
 func TestTraceRoundTrip(t *testing.T) {
-	ex := NewExplorer(ExplorerConfig{Procs: 4, Program: fanInProgram(4, 2)})
-	trace, _, err := ex.runOnce(nil)
+	rc := NewRunContext(&ExplorerConfig{Procs: 4, Program: fanInProgram(4, 2)})
+	trace, _, err := rc.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +36,8 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 func TestTraceFileRoundTrip(t *testing.T) {
-	ex := NewExplorer(ExplorerConfig{Procs: 3, Program: fig3Program})
-	trace, _, err := ex.runOnce(nil)
+	rc := NewRunContext(&ExplorerConfig{Procs: 3, Program: fig3Program})
+	trace, _, err := rc.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +57,9 @@ func TestTraceFileRoundTrip(t *testing.T) {
 func TestDecisionsFromTraceReplays(t *testing.T) {
 	// A saved trace must be replayable: DecisionsFromTrace reproduces the
 	// run it was taken from, including the error outcome.
-	ex := NewExplorer(ExplorerConfig{Procs: 3, Program: fig3Program})
+	rc := NewRunContext(&ExplorerConfig{Procs: 3, Program: fig3Program})
 	for attempt := 0; attempt < 50; attempt++ {
-		trace, res, err := ex.runOnce(nil)
+		trace, res, err := rc.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

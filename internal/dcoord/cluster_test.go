@@ -9,54 +9,12 @@ import (
 	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/core/coretest"
 	"dampi/internal/dexplore"
 	"dampi/mpi"
 	"dampi/workloads/adlb"
 	"dampi/workloads/matmul"
 )
-
-// memoRunner memoizes program executions by decision signature, exactly as
-// in the dexplore equivalence tests: sharing one memoRunner between the
-// serial explorer and the cluster's workers makes the program's residual
-// scheduling non-determinism invisible, so the tests compare pure
-// schedule-generator behavior across the wire.
-type memoRunner struct {
-	mu   sync.Mutex
-	runs map[string]*memoEntry
-}
-
-type memoEntry struct {
-	trace *core.RunTrace
-	res   *core.InterleavingResult
-}
-
-func newMemoRunner() *memoRunner { return &memoRunner{runs: make(map[string]*memoEntry)} }
-
-func (m *memoRunner) Run(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
-	key := d.String()
-	m.mu.Lock()
-	ent := m.runs[key]
-	m.mu.Unlock()
-	if ent == nil {
-		base := *cfg
-		base.Runner = nil
-		trace, res, err := core.ExecuteRun(&base, d)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.mu.Lock()
-		if cached, ok := m.runs[key]; ok {
-			ent = cached
-		} else {
-			ent = &memoEntry{trace: trace, res: res}
-			m.runs[key] = ent
-		}
-		m.mu.Unlock()
-	}
-	cp := *ent.res
-	cp.Decisions = ent.res.Decisions.Clone()
-	return ent.trace, &cp, nil
-}
 
 // errLines renders a report's failures in scheduling-independent sorted
 // form: "signature: message", the acceptance criterion's "same sorted
@@ -214,7 +172,7 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			memo := newMemoRunner()
+			memo := coretest.NewMemoRunner()
 			tc.cfg.Runner = memo.Run
 			serial := runSerial(t, tc.cfg)
 			if serial.Interleavings < 2 {
@@ -223,6 +181,33 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 			dist := runCluster(t, "eq-"+tc.name, tc.cfg, 2, 2)
 			checkSameReport(t, tc.name, serial, dist)
 		})
+	}
+}
+
+// TestLateJoinerGetsDone: a worker that dials after a short exploration has
+// already ended is answered with done and exits cleanly, instead of failing
+// on refused dials (MaxDials 1 makes a refused dial fail at once).
+func TestLateJoinerGetsDone(t *testing.T) {
+	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded, Program: fanInError}
+	fp := FingerprintFor("late-join", &cfg)
+	c, addr := startCoordinator(t, Config{Fingerprint: fp})
+	worker := func(name string) *Worker {
+		return NewWorker(WorkerConfig{Addr: addr, Name: name, Fingerprint: fp, Explorer: cfg, MaxDials: 1})
+	}
+	early := make(chan error, 1)
+	go func() { early <- worker("early").Run() }()
+	rep, err := waitFor(t, c)
+	if err != nil {
+		t.Fatalf("cluster explore: %v", err)
+	}
+	if rep.Interleavings < 2 {
+		t.Fatalf("degenerate fixture: %d interleavings", rep.Interleavings)
+	}
+	if err := <-early; err != nil {
+		t.Errorf("early worker: %v", err)
+	}
+	if err := worker("late").Run(); err != nil {
+		t.Errorf("late worker: %v", err)
 	}
 }
 
@@ -252,7 +237,7 @@ func (k *killAfter) Run(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunT
 // TestWorkerKillMidExplorationRecovers: killing one worker mid-exploration
 // re-leases its tasks to the survivor and still yields the identical report.
 func TestWorkerKillMidExplorationRecovers(t *testing.T) {
-	memo := newMemoRunner()
+	memo := coretest.NewMemoRunner()
 	base := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 	serial := runSerial(t, base)
 	if serial.Interleavings < 8 {
@@ -297,7 +282,7 @@ func TestWorkerKillMidExplorationRecovers(t *testing.T) {
 // stops issuing, merges in-flight results, and leaves a checkpoint that a
 // fresh coordinator resumes to the full serial report.
 func TestClusterStopDrainsAndCheckpoints(t *testing.T) {
-	memo := newMemoRunner()
+	memo := coretest.NewMemoRunner()
 	base := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 	serial := runSerial(t, base)
 

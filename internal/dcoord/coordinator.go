@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -66,6 +65,13 @@ type Config struct {
 	ProgressEvery time.Duration
 }
 
+// lateJoinGrace is how long a standalone coordinator keeps its listener
+// open after the exploration ends. A worker that dials in that window (one
+// started alongside the coordinator but scheduled after a short exploration
+// already finished) is answered with done and exits cleanly instead of
+// failing on refused dials.
+const lateJoinGrace = 5 * time.Second
+
 // lease is one outstanding task assignment.
 type lease struct {
 	id      uint64
@@ -104,7 +110,8 @@ func (w *workerConn) send(fr *frame) error {
 // leases subtree tasks to workers, merges their results, and terminates when
 // the frontier and all leases drain.
 type Coordinator struct {
-	cfg Config
+	cfg  Config
+	ecfg core.ExplorerConfig // the fingerprint's exploration parameters
 
 	// managed marks a coordinator embedded in a Server: the Server owns the
 	// listener, the connections and the read loops, attaching workers for
@@ -118,11 +125,11 @@ type Coordinator struct {
 	frontier    []*core.SubtreeTask // LIFO stack of pending tasks
 	leases      map[uint64]*lease
 	nextLease   uint64
-	done        map[string]bool     // completed task keys (dedup after requeue)
-	redelivered map[string]int      // requeue count per task key
-	requeues    int                 // total lease requeues
-	sampledKeys map[string]struct{} // distinct sampled decision vectors
-	report      *core.Report
+	done        map[string]bool // completed task keys (dedup after requeue)
+	redelivered map[string]int  // requeue count per task key
+	requeues    int             // total lease requeues
+	tally       core.Tally
+	report      *core.Report // set by finalize
 	rootDone    bool
 	stopped     bool // drain: no new leases (Stop or StopOnFirstError)
 	noFinalCkp  bool // Abort: crash semantics, skip the final checkpoint
@@ -160,34 +167,31 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:         cfg,
+		ecfg:        fingerprintExplorerConfig(cfg.Fingerprint),
 		workers:     make(map[*workerConn]struct{}),
 		leases:      make(map[uint64]*lease),
 		done:        make(map[string]bool),
 		redelivered: make(map[string]int),
-		sampledKeys: make(map[string]struct{}),
-		report:      &core.Report{},
 		rate:        dexplore.NewRateTracker(dexplore.RateWindow),
 		doneCh:      make(chan struct{}),
 		janitorStop: make(chan struct{}),
 		monitorStop: make(chan struct{}),
 		start:       time.Now(),
 	}
+	c.ecfg.MaxInterleavings = cfg.MaxInterleavings
 	if ckp := cfg.Resume; ckp != nil {
-		ecfg := fingerprintExplorerConfig(cfg.Fingerprint)
-		if err := ckp.Validate(cfg.Fingerprint.Workload, &ecfg); err != nil {
+		if err := c.seedFromCheckpoint(ckp); err != nil {
 			return nil, err
 		}
-		c.seedFromCheckpoint(ckp)
 	} else {
-		ecfg := fingerprintExplorerConfig(cfg.Fingerprint)
-		c.frontier = append(c.frontier, core.RootTask(&ecfg))
+		c.frontier = append(c.frontier, core.RootTask(&c.ecfg))
 	}
 	return c, nil
 }
 
 // fingerprintExplorerConfig projects a fingerprint onto the ExplorerConfig
-// fields checkpoint validation and RootTask consult, rebuilding the seeded
-// sampler for sampling fingerprints so checkpoint signatures match.
+// fields checkpoints and RootTask consult, rebuilding the seeded sampler for
+// sampling fingerprints so checkpoint signatures match.
 func fingerprintExplorerConfig(f Fingerprint) core.ExplorerConfig {
 	cfg := core.ExplorerConfig{
 		Procs:             f.Procs,
@@ -210,42 +214,30 @@ func fingerprintExplorerConfig(f Fingerprint) core.ExplorerConfig {
 	return cfg
 }
 
-// seedFromCheckpoint restores aggregates and frontier. The checkpoint's
-// frontier may still contain the root task (a drain before the root
-// completed); rootDone is derived from whether a self-discovery task remains.
-func (c *Coordinator) seedFromCheckpoint(ckp *dexplore.Checkpoint) {
-	c.report.Interleavings = ckp.Interleavings
-	c.report.Deadlocks = ckp.Deadlocks
-	c.report.DecisionPoints = ckp.DecisionPoints
-	c.report.AutoAbstracted = ckp.AutoAbstracted
-	c.report.WildcardsAnalyzed = ckp.WildcardsAnalyzed
-	c.report.Unsafe = ckp.Unsafe
-	c.report.FirstTrace = ckp.FirstTrace
-	c.report.Sampled = ckp.Sampled
-	for _, k := range ckp.SampledKeys {
-		c.sampledKeys[k] = struct{}{}
+// seedFromCheckpoint validates the checkpoint and restores its tally and
+// frontier. The frontier may still contain the root task (a drain before the
+// root completed); rootDone is derived from whether a self-discovery task
+// remains.
+func (c *Coordinator) seedFromCheckpoint(ckp *dexplore.Checkpoint) error {
+	tally, frontier, err := ckp.Restore(c.cfg.Fingerprint.Workload, &c.ecfg)
+	if err != nil {
+		return err
 	}
-	c.report.SampledDistinct = len(c.sampledKeys)
-	for _, ce := range ckp.Errors {
-		c.report.Errors = append(c.report.Errors, &core.InterleavingResult{
-			Err:       errors.New(ce.Message),
-			Deadlock:  ce.Deadlock,
-			Decisions: ce.Decisions,
-		})
-	}
-	c.frontier = append(c.frontier, ckp.Frontier...)
+	c.tally = *tally
+	c.frontier = frontier
 	c.rootDone = true
 	for _, t := range c.frontier {
 		if t.Decisions == nil {
 			c.rootDone = false
 		}
 	}
+	return nil
 }
 
 // Serve starts accepting workers on ln and runs the lease janitor (and the
 // progress monitor when configured). It returns immediately; use Wait for
-// the result. The coordinator owns ln and closes it when the exploration
-// ends.
+// the result. The coordinator owns ln and closes it lateJoinGrace after the
+// exploration ends.
 func (c *Coordinator) Serve(ln net.Listener) {
 	c.mu.Lock()
 	c.ln = ln
@@ -531,7 +523,7 @@ func (c *Coordinator) dispatch() {
 		for w := range c.workers {
 			var batch []wireTask
 			for capacity := c.leaseCapacity(w); w.active < capacity; {
-				if max := c.cfg.MaxInterleavings; max > 0 && c.report.Interleavings+len(c.leases) >= max {
+				if max := c.cfg.MaxInterleavings; max > 0 && c.tally.Interleavings+len(c.leases) >= max {
 					break
 				}
 				t := c.popLiveLocked()
@@ -612,7 +604,7 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 	w.completed++
 
 	ir := &core.InterleavingResult{
-		Index:      c.report.Interleavings,
+		Index:      c.tally.Interleavings,
 		Decisions:  res.Decisions,
 		Deadlock:   res.Deadlock,
 		Mismatches: res.Mismatches,
@@ -621,27 +613,15 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 	if res.ErrMsg != "" {
 		ir.Err = errors.New(res.ErrMsg)
 	}
-	c.report.Interleavings++
-	if ir.Err != nil {
-		c.report.Errors = append(c.report.Errors, ir)
-	}
-	if ir.Deadlock {
-		c.report.Deadlocks++
-	}
-	c.report.DecisionPoints += res.DecisionPoints
-	c.report.AutoAbstracted += res.AutoAbstracted
-	if res.Sampled && res.Decisions != nil {
-		// Task identity (res.Key) carries the walk/step suffix; schedule
-		// identity is the decision vector alone.
-		c.report.Sampled++
-		c.sampledKeys[res.Decisions.String()] = struct{}{}
-		c.report.SampledDistinct = len(c.sampledKeys)
-	}
+	// Task identity (res.Key) carries the walk/step suffix; the tally keys
+	// sampled schedules by the decision vector alone.
+	ex := &core.Expansion{DecisionPoints: res.DecisionPoints, AutoAbstracted: res.AutoAbstracted}
+	c.tally.Record(ir, ex, res.Sampled && res.Decisions != nil)
 	c.frontier = append(c.frontier, res.Children...)
 	if res.Root != nil {
-		c.report.WildcardsAnalyzed = res.Root.WildcardsAnalyzed
-		c.report.Unsafe = res.Root.Unsafe
-		c.report.FirstTrace = res.Root.FirstTrace
+		c.tally.WildcardsAnalyzed = res.Root.WildcardsAnalyzed
+		c.tally.Unsafe = res.Root.Unsafe
+		c.tally.FirstTrace = res.Root.FirstTrace
 		c.rootDone = true
 	}
 	if c.cfg.StopOnFirstError && ir.Err != nil {
@@ -690,7 +670,7 @@ func (c *Coordinator) finishable() bool {
 	if !c.rootDone {
 		return false
 	}
-	if max := c.cfg.MaxInterleavings; max > 0 && c.report.Interleavings >= max {
+	if max := c.cfg.MaxInterleavings; max > 0 && c.tally.Interleavings >= max {
 		return true
 	}
 	return c.liveFrontierLocked() == 0
@@ -711,7 +691,7 @@ func (c *Coordinator) liveFrontierLocked() int {
 
 // finalize ends the exploration exactly once: terminal report state (cap
 // flag, deterministic error order), final checkpoint, done-frames to every
-// worker, listener close, and the Wait release.
+// worker, the delayed listener close, and the Wait release.
 func (c *Coordinator) finalize() {
 	c.mu.Lock()
 	if c.finished {
@@ -719,16 +699,7 @@ func (c *Coordinator) finalize() {
 		return
 	}
 	c.finished = true
-	if max := c.cfg.MaxInterleavings; max > 0 && c.report.Interleavings >= max && c.liveFrontierLocked() > 0 {
-		c.report.Capped = true
-	}
-	sort.SliceStable(c.report.Errors, func(i, j int) bool {
-		return c.report.Errors[i].Decisions.String() < c.report.Errors[j].Decisions.String()
-	})
-	for k := range c.sampledKeys {
-		c.report.SampledSchedules = append(c.report.SampledSchedules, k)
-	}
-	sort.Strings(c.report.SampledSchedules)
+	c.report = c.tally.Report(&c.ecfg, c.liveFrontierLocked())
 	var ckp *dexplore.Checkpoint
 	if c.cfg.CheckpointPath != "" && !c.noFinalCkp {
 		ckp = c.checkpointLocked()
@@ -761,7 +732,7 @@ func (c *Coordinator) finalize() {
 		w.conn.Close()
 	}
 	if ln != nil {
-		ln.Close()
+		time.AfterFunc(lateJoinGrace, func() { ln.Close() })
 	}
 	close(c.janitorStop)
 	close(c.monitorStop)
@@ -773,49 +744,16 @@ func (c *Coordinator) finalize() {
 // format (pending first, then leased: resume pops the deepest work first).
 // Caller holds c.mu.
 func (c *Coordinator) checkpointLocked() *dexplore.Checkpoint {
-	f := c.cfg.Fingerprint
-	ecfg := fingerprintExplorerConfig(f)
-	ckp := &dexplore.Checkpoint{
-		Version:           1,
-		Workload:          f.Workload,
-		Procs:             f.Procs,
-		Clock:             f.Clock,
-		DualClock:         f.DualClock,
-		Transport:         f.Transport,
-		MixingBound:       f.MixingBound,
-		AutoLoopThreshold: f.AutoLoopThreshold,
-		ChoicePoints:      f.ChoicePoints,
-		SampleDepth:       f.SampleDepth,
-		Sampler:           dexplore.SignatureOf(&ecfg),
-		Interleavings:     c.report.Interleavings,
-		Deadlocks:         c.report.Deadlocks,
-		DecisionPoints:    c.report.DecisionPoints,
-		AutoAbstracted:    c.report.AutoAbstracted,
-		WildcardsAnalyzed: c.report.WildcardsAnalyzed,
-		Sampled:           c.report.Sampled,
-		Unsafe:            c.report.Unsafe,
-		FirstTrace:        c.report.FirstTrace,
-	}
-	for k := range c.sampledKeys {
-		ckp.SampledKeys = append(ckp.SampledKeys, k)
-	}
-	sort.Strings(ckp.SampledKeys)
-	for _, res := range c.report.Errors {
-		ckp.Errors = append(ckp.Errors, &dexplore.CheckpointError{
-			Message:   res.Err.Error(),
-			Deadlock:  res.Deadlock,
-			Decisions: res.Decisions,
-		})
-	}
+	var frontier []*core.SubtreeTask
 	for _, t := range c.frontier {
 		if !c.done[taskKey(t)] {
-			ckp.Frontier = append(ckp.Frontier, t)
+			frontier = append(frontier, t)
 		}
 	}
 	for _, l := range c.leases {
-		ckp.Frontier = append(ckp.Frontier, l.task)
+		frontier = append(frontier, l.task)
 	}
-	return ckp
+	return dexplore.NewCheckpoint(c.cfg.Fingerprint.Workload, &c.ecfg, &c.tally, frontier)
 }
 
 // janitor periodically expires leases: past-TTL (no heartbeat) or past the
@@ -881,15 +819,15 @@ func (c *Coordinator) progress() dexplore.Progress {
 	elapsed := now.Sub(c.start)
 	mean := 0.0
 	if s := elapsed.Seconds(); s > 0 {
-		mean = float64(c.report.Interleavings) / s
+		mean = float64(c.tally.Interleavings) / s
 	}
-	window, ok := c.rate.Rate(now, c.report.Interleavings)
+	window, ok := c.rate.Rate(now, c.tally.Interleavings)
 	if !ok {
 		window = mean
 	}
-	c.rate.Observe(now, c.report.Interleavings)
+	c.rate.Observe(now, c.tally.Interleavings)
 	return dexplore.Progress{
-		Interleavings:   c.report.Interleavings,
+		Interleavings:   c.tally.Interleavings,
 		PerSecond:       mean,
 		WindowPerSecond: window,
 		WindowValid:     ok,

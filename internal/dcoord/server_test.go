@@ -8,24 +8,25 @@ import (
 	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/core/coretest"
 )
 
 // testFactory builds a JobSpec factory over the local test programs, with one
-// shared memoRunner per workload so the serial and distributed explorations
+// shared coretest.MemoRunner per workload so the serial and distributed explorations
 // see identical program behavior (same trick as the cluster tests).
 type testFactory struct {
 	mu    sync.Mutex
-	memos map[string]*memoRunner
+	memos map[string]*coretest.MemoRunner
 }
 
-func newTestFactory() *testFactory { return &testFactory{memos: make(map[string]*memoRunner)} }
+func newTestFactory() *testFactory { return &testFactory{memos: make(map[string]*coretest.MemoRunner)} }
 
-func (f *testFactory) memo(workload string) *memoRunner {
+func (f *testFactory) memo(workload string) *coretest.MemoRunner {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	m, ok := f.memos[workload]
 	if !ok {
-		m = newMemoRunner()
+		m = coretest.NewMemoRunner()
 		f.memos[workload] = m
 	}
 	return m

@@ -59,32 +59,34 @@ func (c *Coordinator) Status() Status {
 	elapsed := now.Sub(c.start)
 	mean := 0.0
 	if s := elapsed.Seconds(); s > 0 {
-		mean = float64(c.report.Interleavings) / s
+		mean = float64(c.tally.Interleavings) / s
 	}
-	window, ok := c.rate.Rate(now, c.report.Interleavings)
+	window, ok := c.rate.Rate(now, c.tally.Interleavings)
 	if !ok {
 		window = mean
 	}
-	c.rate.Observe(now, c.report.Interleavings)
+	c.rate.Observe(now, c.tally.Interleavings)
 	st := Status{
 		State:           "exploring",
 		Workload:        c.cfg.Fingerprint.Workload,
 		Procs:           c.cfg.Fingerprint.Procs,
 		ElapsedSec:      elapsed.Seconds(),
-		Interleavings:   c.report.Interleavings,
-		Errors:          len(c.report.Errors),
-		Deadlocks:       c.report.Deadlocks,
-		DecisionPts:     c.report.DecisionPoints,
+		Interleavings:   c.tally.Interleavings,
+		Errors:          len(c.tally.Errors),
+		Deadlocks:       c.tally.Deadlocks,
+		DecisionPts:     c.tally.DecisionPoints,
 		FrontierDepth:   len(c.frontier),
 		ActiveLeases:    len(c.leases),
 		DoneSet:         len(c.done),
 		Requeues:        c.requeues,
 		MeanPerSec:      mean,
 		WindowPerSec:    window,
-		StaticPruned:    c.report.StaticPruned,
-		Capped:          c.report.Capped,
-		Sampled:         c.report.Sampled,
-		SampledDistinct: c.report.SampledDistinct,
+		Sampled:         c.tally.Sampled,
+		SampledDistinct: c.tally.SampledDistinct(),
+	}
+	if c.report != nil {
+		st.StaticPruned = c.report.StaticPruned
+		st.Capped = c.report.Capped
 	}
 	switch {
 	case c.runErr != nil:

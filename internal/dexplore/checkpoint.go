@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"dampi/internal/core"
 )
@@ -74,23 +73,24 @@ type CheckpointError struct {
 	Decisions *core.Decisions `json:"decisions"`
 }
 
-// snapshotCheckpoint gathers a consistent cut of the exploration via a brief
+// cut gathers a consistent cut of the exploration via a brief
 // stop-the-world: every worker mutex is taken in ascending id order — the
 // same order thieves use when transferring a batch — so each pending task is
 // observed in exactly one deque or current slot, and each completed task in
-// exactly one accumulator. In-flight (current) tasks join the frontier:
-// resuming re-runs them, giving at-least-once coverage of every subtree.
-func (e *Engine) snapshotCheckpoint() *Checkpoint {
+// exactly one tally. It returns the merged tally and the frontier, with
+// in-flight (current) tasks last: resuming re-runs them first (they are the
+// deepest work at cut time), giving at-least-once coverage of every subtree.
+func (e *Engine) cut() (*core.Tally, []*core.SubtreeTask) {
 	for _, w := range e.ws {
 		w.mu.Lock()
 	}
-	rep := e.gatherLocked()
+	tally := &core.Tally{}
+	tally.Merge(&e.base)
 	var frontier []*core.SubtreeTask
 	for _, w := range e.ws {
+		tally.Merge(&w.tally)
 		frontier = append(frontier, w.tasks[w.head:]...)
 	}
-	// In-flight last: on resume the engine pops them (the deepest work at
-	// snapshot time) first.
 	for _, w := range e.ws {
 		if w.current != nil {
 			frontier = append(frontier, w.current)
@@ -99,7 +99,13 @@ func (e *Engine) snapshotCheckpoint() *Checkpoint {
 	for i := len(e.ws) - 1; i >= 0; i-- {
 		e.ws[i].mu.Unlock()
 	}
-	return e.buildCheckpoint(rep, frontier)
+	return tally, frontier
+}
+
+// snapshotCheckpoint checkpoints the current cut.
+func (e *Engine) snapshotCheckpoint() *Checkpoint {
+	tally, frontier := e.cut()
+	return NewCheckpoint("", &e.cfg.Explorer, tally, frontier)
 }
 
 // SamplerSignature is the optional interface a core.Sampler implements to
@@ -122,11 +128,14 @@ func SignatureOf(cfg *core.ExplorerConfig) string {
 	}
 }
 
-// buildCheckpoint serializes a gathered report plus frontier.
-func (e *Engine) buildCheckpoint(rep *core.Report, frontier []*core.SubtreeTask) *Checkpoint {
-	cfg := &e.cfg.Explorer
+// NewCheckpoint serializes an exploration's tally plus its pending frontier
+// under cfg's parameters. workload names the program for explorations that
+// select it by name (the distributed coordinator); "" otherwise. Restore is
+// the inverse.
+func NewCheckpoint(workload string, cfg *core.ExplorerConfig, t *core.Tally, frontier []*core.SubtreeTask) *Checkpoint {
 	ckp := &Checkpoint{
 		Version:           checkpointVersion,
+		Workload:          workload,
 		Procs:             cfg.Procs,
 		Clock:             cfg.Clock,
 		DualClock:         cfg.DualClock,
@@ -136,23 +145,18 @@ func (e *Engine) buildCheckpoint(rep *core.Report, frontier []*core.SubtreeTask)
 		ChoicePoints:      cfg.ChoicePoints,
 		SampleDepth:       cfg.SampleDepth,
 		Sampler:           SignatureOf(cfg),
-		Interleavings:     rep.Interleavings,
-		Deadlocks:         rep.Deadlocks,
-		DecisionPoints:    rep.DecisionPoints,
-		AutoAbstracted:    rep.AutoAbstracted,
-		WildcardsAnalyzed: rep.WildcardsAnalyzed,
-		Sampled:           rep.Sampled,
-		Unsafe:            rep.Unsafe,
-		FirstTrace:        rep.FirstTrace,
+		Interleavings:     t.Interleavings,
+		Deadlocks:         t.Deadlocks,
+		DecisionPoints:    t.DecisionPoints,
+		AutoAbstracted:    t.AutoAbstracted,
+		WildcardsAnalyzed: t.WildcardsAnalyzed,
+		Sampled:           t.Sampled,
+		SampledKeys:       t.SampledKeys(),
+		Unsafe:            t.Unsafe,
+		FirstTrace:        t.FirstTrace,
 		Frontier:          frontier,
 	}
-	e.smu.Lock()
-	for k := range e.sampledKeys {
-		ckp.SampledKeys = append(ckp.SampledKeys, k)
-	}
-	e.smu.Unlock()
-	sort.Strings(ckp.SampledKeys)
-	for _, res := range rep.Errors {
+	for _, res := range t.Errors {
 		ckp.Errors = append(ckp.Errors, &CheckpointError{
 			Message:   res.Err.Error(),
 			Deadlock:  res.Deadlock,
@@ -160,6 +164,32 @@ func (e *Engine) buildCheckpoint(rep *core.Report, frontier []*core.SubtreeTask)
 		})
 	}
 	return ckp
+}
+
+// Restore validates the checkpoint against the resuming run's parameters
+// (see Validate) and rebuilds the tally and frontier NewCheckpoint saved.
+func (c *Checkpoint) Restore(workload string, cfg *core.ExplorerConfig) (*core.Tally, []*core.SubtreeTask, error) {
+	if err := c.Validate(workload, cfg); err != nil {
+		return nil, nil, err
+	}
+	t := &core.Tally{
+		Interleavings:     c.Interleavings,
+		Deadlocks:         c.Deadlocks,
+		DecisionPoints:    c.DecisionPoints,
+		AutoAbstracted:    c.AutoAbstracted,
+		WildcardsAnalyzed: c.WildcardsAnalyzed,
+		Unsafe:            c.Unsafe,
+		FirstTrace:        c.FirstTrace,
+	}
+	t.RestoreSampled(c.Sampled, c.SampledKeys)
+	for _, ce := range c.Errors {
+		t.Errors = append(t.Errors, &core.InterleavingResult{
+			Err:       errors.New(ce.Message),
+			Deadlock:  ce.Deadlock,
+			Decisions: ce.Decisions,
+		})
+	}
+	return t, append([]*core.SubtreeTask(nil), c.Frontier...), nil
 }
 
 // Validate checks that the checkpoint was produced under the given
@@ -196,37 +226,17 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 	return nil
 }
 
-// seedFromCheckpoint restores aggregates and frontier from a checkpoint in
+// seedFromCheckpoint restores the tally and frontier from a checkpoint in
 // place of the initial self-discovery run.
 func (e *Engine) seedFromCheckpoint(ckp *Checkpoint) error {
-	cfg := &e.cfg.Explorer
-	if err := ckp.Validate("", cfg); err != nil {
+	tally, frontier, err := ckp.Restore("", &e.cfg.Explorer)
+	if err != nil {
 		return err
 	}
-	e.base.Interleavings = ckp.Interleavings
-	e.base.Deadlocks = ckp.Deadlocks
-	e.base.DecisionPoints = ckp.DecisionPoints
-	e.base.AutoAbstracted = ckp.AutoAbstracted
-	e.base.WildcardsAnalyzed = ckp.WildcardsAnalyzed
-	e.base.Unsafe = ckp.Unsafe
-	e.base.FirstTrace = ckp.FirstTrace
-	e.sampledTotal = ckp.Sampled
-	if len(ckp.SampledKeys) > 0 {
-		e.sampledKeys = make(map[string]struct{}, len(ckp.SampledKeys))
-		for _, k := range ckp.SampledKeys {
-			e.sampledKeys[k] = struct{}{}
-		}
-	}
-	for _, ce := range ckp.Errors {
-		e.base.Errors = append(e.base.Errors, &core.InterleavingResult{
-			Err:       errors.New(ce.Message),
-			Deadlock:  ce.Deadlock,
-			Decisions: ce.Decisions,
-		})
-	}
-	e.issued.Store(int64(ckp.Interleavings))
-	e.completed.Store(int64(ckp.Interleavings))
-	e.scatter(append([]*core.SubtreeTask(nil), ckp.Frontier...))
+	e.base = *tally
+	e.issued.Store(int64(tally.Interleavings))
+	e.completed.Store(int64(tally.Interleavings))
+	e.scatter(frontier)
 	return nil
 }
 

@@ -1,11 +1,14 @@
 package dexplore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dampi/internal/core"
+	"dampi/internal/core/coretest"
 	"dampi/workloads/matmul"
 )
 
@@ -70,7 +73,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 // TestResumeRejectsMismatchedConfig: a checkpoint only resumes under the
 // exploration parameters that produced it.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
-	memo := newMemoRunner()
+	memo := coretest.NewMemoRunner()
 	base := core.ExplorerConfig{Procs: 4, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 	path := filepath.Join(t.TempDir(), "ckp.json")
 	if _, err := New(Config{Explorer: base, Workers: 2, CheckpointPath: path}).Explore(); err != nil {
@@ -102,7 +105,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 // equals the uninterrupted run's interleaving set (decision-signature
 // equality on matmul).
 func TestCheckpointResumeUnion(t *testing.T) {
-	memo := newMemoRunner()
+	memo := coretest.NewMemoRunner()
 	cfg := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 
 	full := runParallel(t, cfg, 4)
@@ -189,7 +192,7 @@ func TestCheckpointResumeUnion(t *testing.T) {
 // those tasks again (at-least-once coverage); resuming such a snapshot may
 // re-run subtrees but still covers the full set.
 func TestResumeAtLeastOnce(t *testing.T) {
-	memo := newMemoRunner()
+	memo := coretest.NewMemoRunner()
 	cfg := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 	full := runParallel(t, cfg, 2)
 
@@ -245,7 +248,7 @@ func TestResumeAtLeastOnce(t *testing.T) {
 // disk well before the exploration finishes (verified post-hoc: the final
 // file must parse and carry the fingerprint).
 func TestPeriodicCheckpointWrites(t *testing.T) {
-	memo := newMemoRunner()
+	memo := coretest.NewMemoRunner()
 	path := filepath.Join(t.TempDir(), "ckp.json")
 	cfg := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 	rep, err := New(Config{Explorer: cfg, Workers: 2, CheckpointPath: path, CheckpointEvery: 1}).Explore()
@@ -270,6 +273,84 @@ func TestPeriodicCheckpointWrites(t *testing.T) {
 	for _, e := range entries {
 		if e.Name() != filepath.Base(path) {
 			t.Errorf("stray checkpoint temp file %s", e.Name())
+		}
+	}
+}
+
+// TestCheckpointTallyRoundTrip: a tally plus frontier survives
+// NewCheckpoint → Save → Load → Restore, the one conversion both the
+// work-stealing engine and the distributed coordinator checkpoint through.
+func TestCheckpointTallyRoundTrip(t *testing.T) {
+	cfg := &core.ExplorerConfig{Procs: 4, MixingBound: 1}
+	var tally core.Tally
+	tally.Root(&core.RunTrace{
+		Epochs: []*core.EpochRecord{{Rank: 0, LC: 1, Chosen: 2, Alternates: []int{3}}},
+		Unsafe: []core.UnsafeReport{{Rank: 2, LC: 5, Op: "send", Count: 1}},
+	})
+	for i := 0; i < 6; i++ {
+		d := core.NewDecisions()
+		d.Force(core.EpochID{Rank: 1, LC: uint64(i)}, i%2)
+		res := &core.InterleavingResult{Decisions: d, Deadlock: i == 4}
+		if i%2 == 0 {
+			res.Err = fmt.Errorf("bug %d", i)
+		}
+		tally.Record(res, &core.Expansion{DecisionPoints: 2, AutoAbstracted: i % 2}, i >= 3)
+	}
+	fd := core.NewDecisions()
+	fd.Force(core.EpochID{Rank: 3, LC: 9}, 0)
+	frontier := []*core.SubtreeTask{
+		{Decisions: fd, Budget: 0, Explorable: true, Depth: 2},
+		{Decisions: fd.Clone(), Budget: core.Unbounded, Explorable: true, Depth: 1, Sample: &core.SampleState{Walk: 1, Step: 2, Rng: 7}},
+	}
+
+	ckp := NewCheckpoint("", cfg, &tally, frontier)
+	if ckp.Version != checkpointVersion {
+		t.Errorf("version = %d, want %d", ckp.Version, checkpointVersion)
+	}
+	path := filepath.Join(t.TempDir(), "ckp.json")
+	if err := ckp.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotFrontier, err := loaded.Restore("", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want, have := tally.Report(cfg, len(frontier)), got.Report(cfg, len(gotFrontier))
+	if have.Interleavings != want.Interleavings || have.Deadlocks != want.Deadlocks ||
+		have.DecisionPoints != want.DecisionPoints || have.AutoAbstracted != want.AutoAbstracted ||
+		have.WildcardsAnalyzed != want.WildcardsAnalyzed || have.Sampled != want.Sampled ||
+		have.SampledDistinct != want.SampledDistinct {
+		t.Errorf("counts differ after round trip:\n got %+v\nwant %+v", have, want)
+	}
+	if !reflect.DeepEqual(have.SampledSchedules, want.SampledSchedules) || !reflect.DeepEqual(have.Unsafe, want.Unsafe) {
+		t.Errorf("sampled schedules or unsafe reports differ: %v %v, want %v %v",
+			have.SampledSchedules, have.Unsafe, want.SampledSchedules, want.Unsafe)
+	}
+	if have.FirstTrace == nil || len(have.FirstTrace.Epochs) != 1 {
+		t.Errorf("first trace lost: %+v", have.FirstTrace)
+	}
+	if len(have.Errors) != len(want.Errors) {
+		t.Fatalf("%d errors after round trip, want %d", len(have.Errors), len(want.Errors))
+	}
+	for i := range want.Errors {
+		g, w := have.Errors[i], want.Errors[i]
+		if g.Err.Error() != w.Err.Error() || g.Deadlock != w.Deadlock || g.Decisions.String() != w.Decisions.String() {
+			t.Errorf("error %d = %v, want %v", i, g, w)
+		}
+	}
+	if len(gotFrontier) != len(frontier) {
+		t.Fatalf("frontier length = %d, want %d", len(gotFrontier), len(frontier))
+	}
+	for i, w := range frontier {
+		g := gotFrontier[i]
+		if g.Decisions.String() != w.Decisions.String() || g.Budget != w.Budget || g.Explorable != w.Explorable ||
+			g.Depth != w.Depth || !reflect.DeepEqual(g.Sample, w.Sample) {
+			t.Errorf("frontier[%d] = %+v, want %+v", i, g, w)
 		}
 	}
 }

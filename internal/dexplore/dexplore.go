@@ -2,11 +2,11 @@
 // epoch-decision depth-first search of internal/core into independent
 // subtree tasks — a forced-decision prefix plus the frame's remaining mixing
 // budget — and feeds them to a worker pool where each worker runs guided
-// replays in its own mpi.World. Per-worker results merge into a single
-// core.Report covering exactly the interleaving set the serial explorer
-// would cover (the expansion logic is shared, see core.SubtreeTask.Expand),
-// with deterministic counts and error reproducers regardless of worker
-// scheduling.
+// replays in its own mpi.World. Per-worker core.Tally accumulators merge
+// into a single core.Report covering exactly the interleaving set the serial
+// explorer would cover (the expansion logic is shared, see
+// core.SubtreeTask.Expand), with deterministic counts and error reproducers
+// regardless of worker scheduling.
 //
 // Scheduling is work-stealing: each worker owns a DFS deque, pushes its own
 // expansions at the deep end and pops them back LIFO, so the steady state
@@ -29,7 +29,6 @@ package dexplore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,20 +109,10 @@ type Engine struct {
 	idleCond *sync.Cond
 	idlers   atomic.Int32
 
-	// base holds the aggregates that live outside the per-worker
-	// accumulators: the root run's (or resumed checkpoint's) counts, the
-	// canonical first trace, unsafe reports and seed errors. Written before
-	// the pool starts, read-only afterwards.
-	base core.Report
-
-	// Sampled-schedule accounting (schedule-sampling mode only). Walk-step
-	// completions are rare relative to the replay hot path, so a plain mutex
-	// around the dedup set is fine; exhaustive tasks never touch it.
-	smu          sync.Mutex
-	sampledTotal int
-	sampledKeys  map[string]struct{} // distinct sampled decision vectors
-
-	report *core.Report // merged at finish; returned by Explore
+	// base holds the tally that lives outside the per-worker ones: the root
+	// run's (or the resumed checkpoint's). Written before the pool starts,
+	// read-only afterwards.
+	base core.Tally
 
 	ckpMu sync.Mutex // serializes periodic checkpoint snapshot+save pairs
 	cbMu  sync.Mutex // serializes the OnInterleaving callback
@@ -141,11 +130,7 @@ func New(cfg Config) *Engine {
 	if cfg.Explorer.Program == nil {
 		panic("dexplore: Config.Explorer.Program must be set")
 	}
-	e := &Engine{
-		cfg:    cfg,
-		report: &core.Report{},
-		rate:   NewRateTracker(RateWindow),
-	}
+	e := &Engine{cfg: cfg, rate: NewRateTracker(RateWindow)}
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -183,10 +168,7 @@ func (e *Engine) Explore() (*core.Report, error) {
 	} else if done, err := e.runRoot(); err != nil {
 		return nil, err
 	} else if done {
-		if err := e.finish(); err != nil {
-			return nil, err
-		}
-		return e.report, nil
+		return e.finish()
 	}
 
 	// Progress monitor. Stopped via doneCh before Explore returns. It is the
@@ -228,10 +210,7 @@ func (e *Engine) Explore() (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.finish(); err != nil {
-		return nil, err
-	}
-	return e.report, nil
+	return e.finish()
 }
 
 // runRoot performs the initial self-discovery run and seeds the deques.
@@ -245,25 +224,16 @@ func (e *Engine) runRoot() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	e.base.WildcardsAnalyzed = len(tr.Epochs)
-	e.base.Unsafe = tr.Unsafe
-	e.base.FirstTrace = tr
-	e.base.Interleavings = 1
 	r.Index = 0
-	if r.Err != nil {
-		e.base.Errors = append(e.base.Errors, r)
-	}
-	if r.Deadlock {
-		e.base.Deadlocks++
-	}
 	e.issued.Store(1)
 	e.completed.Store(1)
+	e.base.Root(tr)
+	var ex *core.Expansion
 	if !r.Deadlock {
-		ex := root.Expand(&e.cfg.Explorer, tr)
-		e.base.DecisionPoints += ex.DecisionPoints
-		e.base.AutoAbstracted += ex.AutoAbstracted
+		ex = root.Expand(&e.cfg.Explorer, tr)
 		e.scatter(ex.Children)
 	}
+	e.base.Record(r, ex, false)
 	if cb := e.cfg.Explorer.OnInterleaving; cb != nil {
 		cb(r)
 	}
@@ -415,10 +385,10 @@ func (e *Engine) wakeAll() {
 	e.idleMu.Unlock()
 }
 
-// complete merges one finished replay into the worker's local accumulators,
-// pushes the subtree's children onto the worker's own deque, and triggers
-// cancellation, wakeups and checkpoints as needed. No shared lock is taken
-// unless workers are parked or a checkpoint is due.
+// complete records one finished replay in the worker's tally, pushes the
+// subtree's children onto the worker's own deque, and triggers cancellation,
+// wakeups and checkpoints as needed. No shared lock is taken unless workers
+// are parked or a checkpoint is due.
 func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, res *core.InterleavingResult, err error) {
 	if err != nil {
 		e.errMu.Lock()
@@ -432,25 +402,6 @@ func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, 
 		w.mu.Unlock()
 		e.wakeAll()
 		return
-	}
-
-	if t.Sample != nil {
-		// One completed walk step = one sampled schedule. The dedup key is the
-		// run's fully resolved decision vector (forced prefix plus observed
-		// outcomes), not the walk identity: two walks whose forced prefixes
-		// resolve to the same complete schedule sampled one distinct schedule
-		// twice. The same key the distributed coordinator uses.
-		key := t.Decisions.String()
-		if res.Decisions != nil {
-			key = res.Decisions.String()
-		}
-		e.smu.Lock()
-		if e.sampledKeys == nil {
-			e.sampledKeys = make(map[string]struct{})
-		}
-		e.sampledTotal++
-		e.sampledKeys[key] = struct{}{}
-		e.smu.Unlock()
 	}
 
 	var ex *core.Expansion
@@ -473,16 +424,8 @@ func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, 
 
 	w.mu.Lock()
 	w.current = nil
-	w.interleavings++
-	if res.Deadlock {
-		w.deadlocks++
-	}
-	if res.Err != nil {
-		w.errors = append(w.errors, res)
-	}
+	w.tally.Record(res, ex, t.Sample != nil)
 	if ex != nil {
-		w.decisionPoints += ex.DecisionPoints
-		w.autoAbstracted += ex.AutoAbstracted
 		w.tasks = append(w.tasks, ex.Children...)
 		w.size.Store(int32(len(w.tasks) - w.head))
 	}
@@ -513,83 +456,23 @@ func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, 
 	}
 }
 
-// gatherLocked sums the base aggregates and every worker's accumulators into
-// a fresh report. Caller holds all worker mutexes (stop-the-world) or has
-// joined the pool.
-func (e *Engine) gatherLocked() *core.Report {
-	rep := &core.Report{
-		Interleavings:     e.base.Interleavings,
-		Deadlocks:         e.base.Deadlocks,
-		DecisionPoints:    e.base.DecisionPoints,
-		AutoAbstracted:    e.base.AutoAbstracted,
-		WildcardsAnalyzed: e.base.WildcardsAnalyzed,
-		Unsafe:            e.base.Unsafe,
-		FirstTrace:        e.base.FirstTrace,
-		Errors:            append([]*core.InterleavingResult(nil), e.base.Errors...),
-	}
-	for _, w := range e.ws {
-		rep.Interleavings += w.interleavings
-		rep.Deadlocks += w.deadlocks
-		rep.DecisionPoints += w.decisionPoints
-		rep.AutoAbstracted += w.autoAbstracted
-		rep.Errors = append(rep.Errors, w.errors...)
-	}
-	e.smu.Lock()
-	rep.Sampled = e.sampledTotal
-	rep.SampledDistinct = len(e.sampledKeys)
-	for k := range e.sampledKeys {
-		rep.SampledSchedules = append(rep.SampledSchedules, k)
-	}
-	e.smu.Unlock()
-	sort.Strings(rep.SampledSchedules)
-	return rep
-}
-
-// finish computes the terminal report state — the cap flag and a
-// deterministic error order (completion order is scheduling-dependent, so
-// errors sort by their reproducer signature) — and writes the final
-// checkpoint. Called after the pool has joined; the worker locks are taken
-// anyway so a straggling monitor snapshot stays race-free.
-func (e *Engine) finish() error {
-	for _, w := range e.ws {
-		w.mu.Lock()
-	}
-	rep := e.gatherLocked()
-	var leftovers []*core.SubtreeTask
-	for _, w := range e.ws {
-		leftovers = append(leftovers, w.tasks[w.head:]...)
-	}
-	for i := len(e.ws) - 1; i >= 0; i-- {
-		e.ws[i].mu.Unlock()
-	}
-
-	*e.report = *rep
-	if h := e.cfg.Explorer.PruneHints; h != nil {
-		// The hint table is shared by every worker; its counters are atomics,
-		// so reading after the pool has joined is race-free.
-		e.report.StaticPruned = h.Pruned()
-		e.report.PruneDisabled = h.Disabled()
-		e.report.PruneViolations = h.Violations()
-	}
-	max := e.cfg.Explorer.MaxInterleavings
-	if max > 0 && e.report.Interleavings >= max && len(leftovers) > 0 {
-		e.report.Capped = true
-	}
-	sort.SliceStable(e.report.Errors, func(i, j int) bool {
-		return e.report.Errors[i].Decisions.String() < e.report.Errors[j].Decisions.String()
-	})
+// finish derives the terminal report from the final cut and writes the
+// final checkpoint. Called after the pool has joined; cut takes the worker
+// locks anyway so a straggling monitor snapshot stays race-free.
+func (e *Engine) finish() (*core.Report, error) {
+	tally, leftovers := e.cut()
 	if e.cfg.CheckpointPath != "" {
-		ckp := e.buildCheckpoint(e.report, leftovers)
+		ckp := NewCheckpoint("", &e.cfg.Explorer, tally, leftovers)
 		if err := ckp.Save(e.cfg.CheckpointPath); err != nil {
-			return fmt.Errorf("dexplore: writing final checkpoint: %w", err)
+			return nil, fmt.Errorf("dexplore: writing final checkpoint: %w", err)
 		}
 	}
-	return nil
+	return tally.Report(&e.cfg.Explorer, len(leftovers)), nil
 }
 
 // snapshot builds a Progress. Called only from the monitor goroutine, which
-// solely owns the rate tracker; worker counters are read one lock at a time
-// (a slightly torn total is fine for a throughput display).
+// solely owns the rate tracker; worker slots are read one lock at a time (a
+// slightly torn busy count is fine for a throughput display).
 func (e *Engine) snapshot() Progress {
 	now := time.Now()
 	elapsed := now.Sub(e.start)

@@ -2,60 +2,14 @@ package dexplore
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"dampi/internal/core"
+	"dampi/internal/core/coretest"
 	"dampi/mpi"
 	"dampi/workloads/adlb"
 	"dampi/workloads/matmul"
 )
-
-// memoRunner memoizes program executions by decision signature. Sharing one
-// memoRunner between a serial explorer and parallel engines makes the
-// program's residual scheduling non-determinism invisible (a decision prefix
-// always yields the same trace), so the tests compare pure schedule-generator
-// behavior: the serial DFS and the subtree-task decomposition must then cover
-// the identical interleaving set, also under -race.
-type memoRunner struct {
-	mu   sync.Mutex
-	runs map[string]*memoEntry
-}
-
-type memoEntry struct {
-	trace *core.RunTrace
-	res   *core.InterleavingResult
-}
-
-func newMemoRunner() *memoRunner { return &memoRunner{runs: make(map[string]*memoEntry)} }
-
-// Run implements core.ExplorerConfig.Runner.
-func (m *memoRunner) Run(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
-	key := d.String()
-	m.mu.Lock()
-	ent := m.runs[key]
-	m.mu.Unlock()
-	if ent == nil {
-		base := *cfg
-		base.Runner = nil
-		trace, res, err := core.ExecuteRun(&base, d)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.mu.Lock()
-		if cached, ok := m.runs[key]; ok {
-			ent = cached // keep-first: concurrent fillers agree on one execution
-		} else {
-			ent = &memoEntry{trace: trace, res: res}
-			m.runs[key] = ent
-		}
-		m.mu.Unlock()
-	}
-	// Fresh result per caller: engines stamp Index and keep the reproducer.
-	cp := *ent.res
-	cp.Decisions = ent.res.Decisions.Clone()
-	return ent.trace, &cp, nil
-}
 
 // summary is what an exploration covered, in scheduling-independent form.
 type summary struct {
@@ -186,7 +140,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			memo := newMemoRunner()
+			memo := coretest.NewMemoRunner()
 			tc.cfg.Runner = memo.Run
 			serial := runSerial(t, tc.cfg)
 			// A deadlocked initial self-run legitimately ends exploration
@@ -206,12 +160,12 @@ func TestParallelSerialEquivalence(t *testing.T) {
 // case must produce at least one failing interleaving and the deadlock case
 // at least one deadlock, under both engines.
 func TestEquivalenceFindsTheBug(t *testing.T) {
-	memo := newMemoRunner()
+	memo := coretest.NewMemoRunner()
 	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded, Program: fanInError, Runner: memo.Run}
 	if s := runParallel(t, cfg, 4); len(s.errs) == 0 {
 		t.Error("fan-in bug not found by parallel engine")
 	}
-	memo = newMemoRunner()
+	memo = coretest.NewMemoRunner()
 	cfg = core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded, Program: flipDeadlock, Runner: memo.Run}
 	if s := runParallel(t, cfg, 4); s.rep.Deadlocks == 0 {
 		t.Error("flip deadlock not found by parallel engine")

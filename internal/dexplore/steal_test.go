@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/core/coretest"
 	"dampi/workloads/matmul"
 )
 
@@ -20,7 +21,7 @@ import (
 // must cover exactly what the uninterrupted run covers. Under -race this also
 // exercises the lock protocol itself.
 func TestSnapshotDuringStealing(t *testing.T) {
-	memo := newMemoRunner()
+	memo := coretest.NewMemoRunner()
 	cfg := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 	full := runParallel(t, cfg, 4)
 	if full.rep.Interleavings < 20 {

@@ -8,51 +8,10 @@ import (
 	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/core/coretest"
 	"dampi/internal/dcoord"
 	"dampi/mpi"
 )
-
-// memoRunner memoizes program executions by decision signature, as in the
-// dcoord equivalence tests: sharing one memoRunner between the serial
-// explorer and the service's workers hides the program's residual scheduling
-// non-determinism, so tests compare pure schedule-generator behavior.
-type memoRunner struct {
-	mu   sync.Mutex
-	runs map[string]*memoEntry
-}
-
-type memoEntry struct {
-	trace *core.RunTrace
-	res   *core.InterleavingResult
-}
-
-func newMemoRunner() *memoRunner { return &memoRunner{runs: make(map[string]*memoEntry)} }
-
-func (m *memoRunner) Run(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
-	key := d.String()
-	m.mu.Lock()
-	ent := m.runs[key]
-	m.mu.Unlock()
-	if ent == nil {
-		base := *cfg
-		base.Runner = nil
-		trace, res, err := core.ExecuteRun(&base, d)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.mu.Lock()
-		if cached, ok := m.runs[key]; ok {
-			ent = cached
-		} else {
-			ent = &memoEntry{trace: trace, res: res}
-			m.runs[key] = ent
-		}
-		m.mu.Unlock()
-	}
-	cp := *ent.res
-	cp.Decisions = ent.res.Decisions.Clone()
-	return ent.trace, &cp, nil
-}
 
 // fanInError fails whenever rank 2's message wins the first wildcard match.
 func fanInError(p *mpi.Proc) error {
@@ -80,21 +39,21 @@ func slowFanIn(p *mpi.Proc) error {
 }
 
 // testFactory resolves job specs into explorer configs over the local test
-// programs, with one shared memoRunner per (workload, procs) so serial
+// programs, with one shared coretest.MemoRunner per (workload, procs) so serial
 // baselines and service runs cannot drift.
 type testFactory struct {
 	mu    sync.Mutex
-	memos map[string]*memoRunner
+	memos map[string]*coretest.MemoRunner
 }
 
-func newTestFactory() *testFactory { return &testFactory{memos: make(map[string]*memoRunner)} }
+func newTestFactory() *testFactory { return &testFactory{memos: make(map[string]*coretest.MemoRunner)} }
 
-func (f *testFactory) memo(key string) *memoRunner {
+func (f *testFactory) memo(key string) *coretest.MemoRunner {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	m, ok := f.memos[key]
 	if !ok {
-		m = newMemoRunner()
+		m = coretest.NewMemoRunner()
 		f.memos[key] = m
 	}
 	return m

@@ -4,6 +4,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dampi/internal/core"
+	"dampi/internal/core/coretest"
+	"dampi/mpi"
 	"dampi/verify"
 	"dampi/workloads"
 	"dampi/workloads/fanin"
@@ -116,11 +119,29 @@ func workloadSrcDir(w *workloads.Workload) string {
 	}
 }
 
+// exploreMemo explores program with the engine configuration verify.Run
+// derives from cfg, routing every execution through memo.
+func exploreMemo(t *testing.T, cfg verify.Config, program func(p *mpi.Proc) error, memo *coretest.MemoRunner) *core.Report {
+	t.Helper()
+	ecfg, err := verify.ExplorerConfig(cfg, program)
+	if err != nil {
+		t.Fatalf("ExplorerConfig: %v", err)
+	}
+	ecfg.Runner = memo.Run
+	rep, err := core.NewExplorer(ecfg).Explore()
+	if err != nil {
+		t.Fatalf("Explore: %v", err)
+	}
+	return rep
+}
+
 // TestStaticPruneEquivalentOnAllWorkloads is the repo-wide soundness sweep:
 // for every registered workload, deriving hints from its sources and
 // verifying with -static-prune semantics must yield a verdict identical to
 // the unpruned exploration (and the k=0 counting identity when neither run
-// was capped).
+// was capped). Both explorations share one memoizing Runner: some workloads
+// (ADLB) match differently from one self run to the next, and two
+// independent self runs would make the two explorations incomparable.
 func TestStaticPruneEquivalentOnAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores every workload twice; skipped in -short mode")
@@ -141,18 +162,13 @@ func TestStaticPruneEquivalentOnAllWorkloads(t *testing.T) {
 				t.Logf("no hints (%d notes); pruned run degenerates to unpruned", len(notes))
 			}
 			prog := w.Program(workloads.Params{Procs: procs})
-			un, err := verify.Run(verify.Config{
+			memo := coretest.NewMemoRunner()
+			un := exploreMemo(t, verify.Config{
 				Procs: procs, MixingBound: 0, MaxInterleavings: cap,
-			}, prog)
-			if err != nil {
-				t.Fatalf("unpruned Run: %v", err)
-			}
-			pr, err := verify.Run(verify.Config{
+			}, prog, memo)
+			pr := exploreMemo(t, verify.Config{
 				Procs: procs, MixingBound: 0, MaxInterleavings: cap, PruneHints: hints,
-			}, prog)
-			if err != nil {
-				t.Fatalf("pruned Run: %v", err)
-			}
+			}, prog, memo)
 			if pr.PruneDisabled {
 				t.Errorf("static hints disabled at runtime — the static model disagreed with an execution: %v",
 					pr.PruneViolations)

@@ -124,9 +124,10 @@ type Config struct {
 	ArtifactsDir string
 	// Workers selects the parallel exploration engine: the number of
 	// concurrent replay workers, each running guided replays in its own
-	// isolated MPI world. 0 runs the serial legacy explorer. The parallel
-	// engine covers exactly the same interleaving set and reports the same
-	// errors and counts; only result arrival order differs.
+	// isolated MPI world. 0 runs the serial explorer. Both engines expand
+	// the same subtree tasks into the same tally, so they cover exactly the
+	// same interleaving set and report the same errors and counts; only
+	// result arrival order differs.
 	Workers int
 	// CheckpointFile, if non-empty (parallel engine only), persists the
 	// exploration frontier every CheckpointEvery replays and at the end, so
@@ -306,36 +307,16 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 		}
 		return hs
 	}
-	ecfg := core.ExplorerConfig{
-		Procs:             cfg.Procs,
-		Program:           program,
-		Clock:             cfg.Clock,
-		DualClock:         cfg.DualClock,
-		Transport:         cfg.Transport,
-		AutoLoopThreshold: cfg.AutoLoopThreshold,
-		MixingBound:       cfg.MixingBound,
-		MaxInterleavings:  cfg.MaxInterleavings,
-		StopOnFirstError:  cfg.StopOnFirstError,
-		PruneHints:        cfg.PruneHints,
-		ExtraHooks:        extra,
-		OnInterleaving:    cfg.OnInterleaving,
-	}
-	if err := cfg.configureSampling(&ecfg); err != nil {
+	ecfg, err := cfg.explorerConfig(program)
+	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if ecfg.Sampler != nil && workers < 1 {
-		// Sampling lives at the task-expansion seam; the legacy serial
-		// explorer predates it, so serial sample runs route through the
-		// parallel engine with one worker (same determinism, same report).
-		workers = 1
-	}
+	ecfg.ExtraHooks = extra
 	var rep *core.Report
-	var err error
-	if workers > 0 {
+	if cfg.Workers > 0 {
 		dcfg := dexplore.Config{
 			Explorer:        ecfg,
-			Workers:         workers,
+			Workers:         cfg.Workers,
 			CheckpointPath:  cfg.CheckpointFile,
 			CheckpointEvery: cfg.CheckpointEvery,
 			OnProgress:      cfg.OnProgress,
@@ -365,6 +346,26 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// explorerConfig derives the exploration parameters Run hands its engine
+// (everything but the per-run hook factory).
+func (cfg *Config) explorerConfig(program func(p *mpi.Proc) error) (core.ExplorerConfig, error) {
+	ecfg := core.ExplorerConfig{
+		Procs:             cfg.Procs,
+		Program:           program,
+		Clock:             cfg.Clock,
+		DualClock:         cfg.DualClock,
+		Transport:         cfg.Transport,
+		AutoLoopThreshold: cfg.AutoLoopThreshold,
+		MixingBound:       cfg.MixingBound,
+		MaxInterleavings:  cfg.MaxInterleavings,
+		StopOnFirstError:  cfg.StopOnFirstError,
+		PruneHints:        cfg.PruneHints,
+		OnInterleaving:    cfg.OnInterleaving,
+	}
+	err := cfg.configureSampling(&ecfg)
+	return ecfg, err
 }
 
 // writeArtifacts dumps the potential-matches trace and per-error reproducers.
