@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Distributed smoke test: a coordinator plus two worker daemons on localhost
 # (all race-instrumented) must produce the same report as a serial run of
-# the same workload. Exercises the full wire path — handshake, task leasing,
-# heartbeats, result merging, done broadcast — end to end.
+# the same workload. One worker is pinned to the workload, the other joins
+# without -workload and builds the program from the announced job. Exercises
+# the full wire path — handshake, job announcement, task leasing,
+# heartbeats, result merging, done broadcast — end to end. A pinned worker
+# built with other -iters must be refused at hello and exit non-zero with
+# the reason.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,14 +35,37 @@ normalize() {
 echo "== serial baseline =="
 timeout -k 10 240 "$workdir/dampi" $FLAGS -leaks=false | tee "$workdir/serial.out"
 
-echo "== distributed run (coordinator + 2 workers) =="
-timeout -k 10 240 "$workdir/dampi" -serve "$ADDR" $FLAGS > "$workdir/cluster.out" &
+echo "== distributed run (coordinator + pinned worker + any-workload worker) =="
+timeout -k 10 240 "$workdir/dampi" -serve "$ADDR" $FLAGS -v > "$workdir/cluster.out" &
 coord=$!
+
+# The job cannot finish before a worker joins, so this worker meets the
+# running job: it must be rejected, naming the mismatched parameter.
+if timeout -k 10 60 "$workdir/dampid" -join "$ADDR" $FLAGS -iters 7 -name bad \
+    > "$workdir/bad.out" 2>&1; then
+  cat "$workdir/bad.out"
+  echo "FAIL: worker built with other -iters was accepted" >&2
+  exit 1
+fi
+cat "$workdir/bad.out"
+if ! grep -q 'iters mismatch' "$workdir/bad.out"; then
+  echo "FAIL: rejection of the -iters mismatch does not name the field" >&2
+  exit 1
+fi
+
 timeout -k 10 240 "$workdir/dampid" -join "$ADDR" $FLAGS -slots 2 -name w1 &
-timeout -k 10 240 "$workdir/dampid" -join "$ADDR" $FLAGS -slots 2 -name w2 &
+w1=$!
+timeout -k 10 240 "$workdir/dampid" -join "$ADDR" -slots 2 -name w2 &
+w2=$!
 wait "$coord"
 cat "$workdir/cluster.out"
-wait
+wait "$w1"
+wait "$w2"
+
+if ! grep -q 'started: matmul procs=6' "$workdir/cluster.out"; then
+  echo "FAIL: dampi -serve -v did not log the job start" >&2
+  exit 1
+fi
 
 normalize "$workdir/serial.out" > "$workdir/serial.norm"
 normalize "$workdir/cluster.out" > "$workdir/cluster.norm"

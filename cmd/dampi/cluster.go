@@ -17,8 +17,12 @@ import (
 // dampi -join), merge their results, and print the same report a local run
 // would print. SIGINT/SIGTERM drain gracefully: no new tasks are leased,
 // in-flight results are merged, a final checkpoint is written (when
-// -checkpoint is set) and the partial report is printed.
+// -checkpoint is set) and the partial report is printed. With verbose, the
+// server's lifecycle lines (worker joined/lost, job started) are printed.
 func serveCluster(cfg verify.ClusterConfig, statusAddr, sampleDump string, verbose bool) {
+	if verbose {
+		cfg.OnEvent = func(line string) { fmt.Println(line) }
+	}
 	lastWindow, lastOK := 0.0, false
 	cfg.OnProgress = func(p verify.Progress) {
 		lastWindow, lastOK = p.WindowPerSecond, p.WindowValid

@@ -20,8 +20,10 @@
 // The -serve mode runs the distributed coordinator: it owns the exploration
 // frontier and merges worker results into the same report a local run would
 // print. Workers join with `dampid -join` (or `dampi -join`), passing the
-// same workload and exploration flags — the handshake rejects any mismatch.
-// SIGTERM drains gracefully on both sides.
+// same workload, exploration and workload-parameter (-scale, -iters) flags —
+// the handshake rejects any mismatch. A `dampid -join` without -workload
+// builds the program from the job the coordinator announces. -v logs workers
+// joining and leaving. SIGTERM drains gracefully on both sides.
 //
 // With -queue, -serve instead runs the persistent verification service: a
 // durable job queue (write-ahead log + snapshots under -store) with a REST
@@ -359,6 +361,8 @@ func main() {
 			LeaseTTL:   *leaseTTL,
 			Slots:      *slots,
 			WorkerName: *workerName,
+			Scale:      *scale,
+			Iters:      *iters,
 		}
 		if *serve != "" {
 			if *stats {

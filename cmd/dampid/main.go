@@ -12,17 +12,17 @@
 // Every exploration flag (-procs, -k, -clock, -dual, -transport, -autoloop,
 // -choice-points, and the -sample/-samples/-seed/-sample-depth sampling
 // parameters) must match the coordinator's: the join handshake rejects any
-// mismatch,
-// because a worker replaying a different program or interleaving space would
-// silently corrupt the merged report. Workload parameters (-scale, -iters)
-// shape the program itself and must likewise be identical on every node.
+// mismatch, because a worker replaying a different program or interleaving
+// space would silently corrupt the merged report. Workload parameters
+// (-scale, -iters) shape the program itself and must likewise match: a
+// coordinator refuses a worker built with other values.
 //
-// Without -workload the worker joins as an any-workload node of a
-// verification service (`dampi -serve -queue`): each announced job carries a
-// full spec — workload name, parameters, exploration flags — and the worker
-// builds the program from the registry per job. The exploration flags are
-// then ignored (the job spec governs). A single-exploration coordinator
-// refuses any-workload workers; pass -workload to join one.
+// Without -workload the worker joins as an any-workload node: each job the
+// server announces carries a full spec — workload name, parameters,
+// exploration flags — and the worker builds the program from the registry
+// per job. The exploration flags are then ignored (the job spec governs).
+// That serves both a verification service (`dampi -serve -queue`) and a
+// single `dampi -serve` exploration.
 //
 // SIGTERM (and SIGINT) drain gracefully: in-flight replays finish and
 // deliver their results before the worker exits. If the coordinator
@@ -140,9 +140,9 @@ func main() {
 	}
 }
 
-// joinAnyWorkload runs the worker without a pinned program: a verification
-// service announces each job's full spec, and the worker builds the program
-// from the registry per job.
+// joinAnyWorkload runs the worker without a pinned program: the server
+// announces each job's full spec, and the worker builds the program from the
+// registry per job.
 func joinAnyWorkload(addr string, slots int, name string) {
 	w, err := verify.JoinQueue(verify.ClusterConfig{
 		Addr:       addr,

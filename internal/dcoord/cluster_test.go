@@ -37,34 +37,50 @@ func runSerial(t *testing.T, cfg core.ExplorerConfig) *core.Report {
 	return rep
 }
 
-// startCoordinator brings up a coordinator on an ephemeral localhost port.
-func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
-	t.Helper()
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New coordinator: %v", err)
+// specFor describes a test exploration as the job spec a server runs.
+func specFor(workload string, cfg core.ExplorerConfig) JobSpec {
+	return JobSpec{
+		Workload:          workload,
+		Procs:             cfg.Procs,
+		Clock:             cfg.Clock,
+		DualClock:         cfg.DualClock,
+		Transport:         cfg.Transport,
+		MixingBound:       cfg.MixingBound,
+		AutoLoopThreshold: cfg.AutoLoopThreshold,
 	}
+}
+
+// startCoordinator brings up a one-job server for spec on an ephemeral
+// localhost port and returns the job's coordinator.
+func startCoordinator(t *testing.T, spec JobSpec, cfg ServerConfig, job JobConfig) (*Coordinator, string) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	c.Serve(ln)
+	if job.ID == "" {
+		job.ID = "job-" + spec.Workload
+	}
+	c, err := ServeJob(ln, cfg, spec, job)
+	if err != nil {
+		t.Fatalf("ServeJob: %v", err)
+	}
 	return c, ln.Addr().String()
 }
 
-// runCluster explores cfg with n in-process workers against a TCP
-// coordinator and returns the merged report.
+// runCluster explores cfg with n in-process workers against a one-job
+// server and returns the merged report.
 func runCluster(t *testing.T, workload string, cfg core.ExplorerConfig, n, slots int) *core.Report {
 	t.Helper()
-	fp := FingerprintFor(workload, &cfg)
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second})
+	spec := specFor(workload, cfg)
+	c, addr := startCoordinator(t, spec, ServerConfig{LeaseTTL: 2 * time.Second}, JobConfig{})
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		w := NewWorker(WorkerConfig{
 			Addr:        addr,
 			Name:        fmt.Sprintf("w%d", i),
 			Slots:       slots,
-			Fingerprint: fp,
+			Fingerprint: spec.Fingerprint(),
 			Explorer:    cfg,
 		})
 		wg.Add(1)
@@ -189,10 +205,10 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 // on refused dials (MaxDials 1 makes a refused dial fail at once).
 func TestLateJoinerGetsDone(t *testing.T) {
 	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded, Program: fanInError}
-	fp := FingerprintFor("late-join", &cfg)
-	c, addr := startCoordinator(t, Config{Fingerprint: fp})
+	spec := specFor("late-join", cfg)
+	c, addr := startCoordinator(t, spec, ServerConfig{}, JobConfig{})
 	worker := func(name string) *Worker {
-		return NewWorker(WorkerConfig{Addr: addr, Name: name, Fingerprint: fp, Explorer: cfg, MaxDials: 1})
+		return NewWorker(WorkerConfig{Addr: addr, Name: name, Fingerprint: spec.Fingerprint(), Explorer: cfg, MaxDials: 1})
 	}
 	early := make(chan error, 1)
 	go func() { early <- worker("early").Run() }()
@@ -244,8 +260,9 @@ func TestWorkerKillMidExplorationRecovers(t *testing.T) {
 		t.Fatalf("fixture too small to kill a worker mid-run: %d interleavings", serial.Interleavings)
 	}
 
-	fp := FingerprintFor("kill-matmul", &base)
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second, MaxRedeliveries: 5})
+	spec := specFor("kill-matmul", base)
+	fp := spec.Fingerprint()
+	c, addr := startCoordinator(t, spec, ServerConfig{LeaseTTL: time.Second, MaxRedeliveries: 5}, JobConfig{})
 
 	// Victim: dies after 3 replays, mid-lease.
 	victimCfg := base
@@ -286,9 +303,10 @@ func TestClusterStopDrainsAndCheckpoints(t *testing.T) {
 	base := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 	serial := runSerial(t, base)
 
-	fp := FingerprintFor("drain-matmul", &base)
+	spec := specFor("drain-matmul", base)
+	fp := spec.Fingerprint()
 	ckpPath := t.TempDir() + "/ckp.json"
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second, CheckpointPath: ckpPath})
+	c, addr := startCoordinator(t, spec, ServerConfig{LeaseTTL: 2 * time.Second}, JobConfig{CheckpointPath: ckpPath})
 
 	// Gate the worker after a few replays so Stop fires while work remains.
 	gate := make(chan struct{})
@@ -338,7 +356,7 @@ func TestClusterStopDrainsAndCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading drain checkpoint: %v", err)
 	}
-	c2, addr2 := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second, Resume: ckp})
+	c2, addr2 := startCoordinator(t, spec, ServerConfig{LeaseTTL: 2 * time.Second}, JobConfig{Resume: ckp})
 	w2 := NewWorker(WorkerConfig{Addr: addr2, Name: "w1", Slots: 2, Fingerprint: fp, Explorer: base})
 	done2 := make(chan error, 1)
 	go func() { done2 <- w2.Run() }()

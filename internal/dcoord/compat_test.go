@@ -12,10 +12,10 @@ import (
 	"dampi/mpi"
 )
 
-// baseFingerprint is a fully populated fingerprint so every field mutation
-// is distinguishable from the zero value.
-func baseFingerprint() Fingerprint {
-	return Fingerprint{
+// baseSpec is a fully populated job spec so every fingerprint field
+// mutation is distinguishable from the zero value.
+func baseSpec() JobSpec {
+	return JobSpec{
 		Workload:          "matmul",
 		Procs:             6,
 		Clock:             core.Lamport,
@@ -24,6 +24,11 @@ func baseFingerprint() Fingerprint {
 		MixingBound:       1,
 		AutoLoopThreshold: 0,
 	}
+}
+
+func baseFingerprint() Fingerprint {
+	spec := baseSpec()
+	return spec.Fingerprint()
 }
 
 // TestFingerprintCheckEachMismatch: every fingerprint field mismatch is
@@ -67,7 +72,7 @@ func TestFingerprintCheckEachMismatch(t *testing.T) {
 // (the mismatch is permanent).
 func TestJoinRejectsMismatchedWorker(t *testing.T) {
 	fp := baseFingerprint()
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
+	c, addr := startCoordinator(t, baseSpec(), ServerConfig{LeaseTTL: time.Second}, JobConfig{})
 	defer c.Stop()
 
 	bad := fp
@@ -97,7 +102,7 @@ func TestJoinRejectsMismatchedWorker(t *testing.T) {
 // version is refused at hello.
 func TestJoinRejectsWrongProtocol(t *testing.T) {
 	fp := baseFingerprint()
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
+	c, addr := startCoordinator(t, baseSpec(), ServerConfig{LeaseTTL: time.Second}, JobConfig{})
 	defer c.Stop()
 
 	conn, err := net.Dial("tcp", addr)
@@ -125,7 +130,7 @@ func TestJoinRejectsWrongProtocol(t *testing.T) {
 // and silently idle or misroute results, so the pairing must fail loudly.
 func TestJoinRejectsOldProtocols(t *testing.T) {
 	fp := baseFingerprint()
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
+	c, addr := startCoordinator(t, baseSpec(), ServerConfig{LeaseTTL: time.Second}, JobConfig{})
 	defer c.Stop()
 
 	for _, old := range []int{1, 2} {
@@ -164,28 +169,27 @@ func TestResumeRejectsEachMismatch(t *testing.T) {
 		Transport:   core.Separate,
 		MixingBound: 1,
 	}
-	good := Config{Fingerprint: baseFingerprint(), Resume: ckp}
-	if _, err := New(good); err != nil {
+	if _, err := newCoordinator(NewServer(ServerConfig{}), baseSpec(), JobConfig{Resume: ckp}); err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
 	}
 	cases := []struct {
 		name   string
-		mutate func(*Fingerprint)
+		mutate func(*JobSpec)
 		want   string
 	}{
-		{"workload", func(f *Fingerprint) { f.Workload = "adlb" }, "workload"},
-		{"procs", func(f *Fingerprint) { f.Procs = 8 }, "procs"},
-		{"clock", func(f *Fingerprint) { f.Clock = core.VectorClock }, "clock"},
-		{"dual-clock", func(f *Fingerprint) { f.DualClock = true }, "dual-clock"},
-		{"transport", func(f *Fingerprint) { f.Transport = core.Inband }, "transport"},
-		{"mixing-bound", func(f *Fingerprint) { f.MixingBound = 3 }, "k="},
-		{"autoloop", func(f *Fingerprint) { f.AutoLoopThreshold = 4 }, "autoloop"},
+		{"workload", func(s *JobSpec) { s.Workload = "adlb" }, "workload"},
+		{"procs", func(s *JobSpec) { s.Procs = 8 }, "procs"},
+		{"clock", func(s *JobSpec) { s.Clock = core.VectorClock }, "clock"},
+		{"dual-clock", func(s *JobSpec) { s.DualClock = true }, "dual-clock"},
+		{"transport", func(s *JobSpec) { s.Transport = core.Inband }, "transport"},
+		{"mixing-bound", func(s *JobSpec) { s.MixingBound = 3 }, "k="},
+		{"autoloop", func(s *JobSpec) { s.AutoLoopThreshold = 4 }, "autoloop"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fp := baseFingerprint()
-			tc.mutate(&fp)
-			_, err := New(Config{Fingerprint: fp, Resume: ckp})
+			spec := baseSpec()
+			tc.mutate(&spec)
+			_, err := newCoordinator(NewServer(ServerConfig{}), spec, JobConfig{Resume: ckp})
 			if err == nil {
 				t.Fatalf("resume with mismatched %s accepted", tc.name)
 			}
@@ -207,7 +211,7 @@ func TestResumeAcceptsUnnamedWorkloadCheckpoint(t *testing.T) {
 		Transport:   core.Separate,
 		MixingBound: 1,
 	}
-	if _, err := New(Config{Fingerprint: baseFingerprint(), Resume: ckp}); err != nil {
+	if _, err := newCoordinator(NewServer(ServerConfig{}), baseSpec(), JobConfig{Resume: ckp}); err != nil {
 		t.Fatalf("unnamed-workload checkpoint rejected: %v", err)
 	}
 }

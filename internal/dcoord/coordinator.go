@@ -9,68 +9,7 @@ import (
 
 	"dampi/internal/core"
 	"dampi/internal/dexplore"
-	"dampi/internal/sample"
 )
-
-// Config configures a coordinator. The coordinator never replays anything
-// itself — it owns the frontier, the leases and the merged report — so it
-// needs no program, only the fingerprint workers must match.
-type Config struct {
-	// Fingerprint is the exploration identity every joining worker must
-	// match exactly.
-	Fingerprint Fingerprint
-	// JobID tags every task frame with the job this exploration belongs to.
-	// Empty for single-job explorations (verify.Serve); set by the job-queue
-	// Server, whose workers route tasks and results by it.
-	JobID string
-	// MaxInterleavings caps the number of distinct subtrees explored
-	// (0 = unlimited), like core.ExplorerConfig.MaxInterleavings.
-	MaxInterleavings int
-	// StopOnFirstError stops issuing new tasks once a failing interleaving
-	// is reported; in-flight leases drain and are counted.
-	StopOnFirstError bool
-	// LeaseTTL is how long a lease survives without a heartbeat before its
-	// task is requeued. Default 10s.
-	LeaseTTL time.Duration
-	// MaxLeaseAge is the hard per-lease deadline: even a heartbeating worker
-	// forfeits a lease this old (a hung replay keeps the connection's
-	// heartbeats flowing, so TTL alone cannot catch it). Default 30×LeaseTTL.
-	MaxLeaseAge time.Duration
-	// MaxRedeliveries caps how many times one task may be requeued after
-	// lease loss before the exploration aborts (a poison task must not loop
-	// forever). Default 3.
-	MaxRedeliveries int
-	// LeaseBatch is the extra leases granted to each worker beyond its slot
-	// count: the prefetch depth that keeps a worker's next tasks in flight
-	// while every slot is replaying, hiding one network round trip per task.
-	// 0 means one extra lease per slot (double buffering); negative disables
-	// prefetch (at most one lease per slot). Each batched task keeps its own
-	// lease, so expiry, requeue and dedup are unchanged.
-	LeaseBatch int
-	// CheckpointPath, if non-empty, receives a frontier checkpoint (the
-	// dexplore.Checkpoint format) every CheckpointEvery completions and at
-	// the end, so a killed coordinator resumes with Resume.
-	CheckpointPath string
-	// CheckpointEvery is the completions between periodic checkpoint writes.
-	// Default 32.
-	CheckpointEvery int
-	// Resume, if non-nil, seeds the exploration from a saved checkpoint
-	// instead of leasing the initial self-discovery run. Validated against
-	// Fingerprint.
-	Resume *dexplore.Checkpoint
-	// OnProgress, if non-nil, receives a throughput snapshot every
-	// ProgressEvery (default 1s) while the exploration runs.
-	OnProgress func(dexplore.Progress)
-	// ProgressEvery is the progress-callback period.
-	ProgressEvery time.Duration
-}
-
-// lateJoinGrace is how long a standalone coordinator keeps its listener
-// open after the exploration ends. A worker that dials in that window (one
-// started alongside the coordinator but scheduled after a short exploration
-// already finished) is answered with done and exits cleanly instead of
-// failing on refused dials.
-const lateJoinGrace = 5 * time.Second
 
 // lease is one outstanding task assignment.
 type lease struct {
@@ -106,21 +45,17 @@ func (w *workerConn) send(fr *frame) error {
 	return writeFrame(w.conn, fr)
 }
 
-// Coordinator owns a distributed exploration: it serves the wire protocol,
-// leases subtree tasks to workers, merges their results, and terminates when
-// the frontier and all leases drain.
+// Coordinator is one exploration running on a Server: it leases subtree
+// tasks to the workers the server attaches, merges their results, and
+// finishes when the frontier and all leases drain. It owns no connections;
+// the server routes every frame.
 type Coordinator struct {
-	cfg  Config
-	ecfg core.ExplorerConfig // the fingerprint's exploration parameters
-
-	// managed marks a coordinator embedded in a Server: the Server owns the
-	// listener, the connections and the read loops, attaching workers for
-	// the duration of one job. A managed coordinator announces job
-	// completion with a jobdone frame and leaves every connection open.
-	managed bool
+	srv  *Server
+	spec JobSpec
+	job  JobConfig
+	ecfg core.ExplorerConfig // the spec's exploration parameters
 
 	mu          sync.Mutex
-	ln          net.Listener
 	workers     map[*workerConn]struct{}
 	frontier    []*core.SubtreeTask // LIFO stack of pending tasks
 	leases      map[uint64]*lease
@@ -144,30 +79,15 @@ type Coordinator struct {
 	monitorWG   sync.WaitGroup
 }
 
-// New creates a coordinator. It validates Resume against the fingerprint and
-// seeds either the checkpointed frontier or the root self-discovery task.
-func New(cfg Config) (*Coordinator, error) {
-	if cfg.Fingerprint.Procs < 1 {
-		return nil, fmt.Errorf("dcoord: Fingerprint.Procs must be >= 1")
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.MaxLeaseAge <= 0 {
-		cfg.MaxLeaseAge = 30 * cfg.LeaseTTL
-	}
-	if cfg.MaxRedeliveries <= 0 {
-		cfg.MaxRedeliveries = 3
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 32
-	}
-	if cfg.ProgressEvery <= 0 {
-		cfg.ProgressEvery = time.Second
-	}
+// newCoordinator creates the coordinator of one job on s. It validates
+// job.Resume against the spec and seeds either the checkpointed frontier or
+// the root self-discovery task.
+func newCoordinator(s *Server, spec JobSpec, job JobConfig) (*Coordinator, error) {
 	c := &Coordinator{
-		cfg:         cfg,
-		ecfg:        fingerprintExplorerConfig(cfg.Fingerprint),
+		srv:         s,
+		spec:        spec,
+		job:         job,
+		ecfg:        spec.ExplorerConfig(),
 		workers:     make(map[*workerConn]struct{}),
 		leases:      make(map[uint64]*lease),
 		done:        make(map[string]bool),
@@ -178,8 +98,8 @@ func New(cfg Config) (*Coordinator, error) {
 		monitorStop: make(chan struct{}),
 		start:       time.Now(),
 	}
-	c.ecfg.MaxInterleavings = cfg.MaxInterleavings
-	if ckp := cfg.Resume; ckp != nil {
+	c.ecfg.MaxInterleavings = spec.MaxInterleavings
+	if ckp := job.Resume; ckp != nil {
 		if err := c.seedFromCheckpoint(ckp); err != nil {
 			return nil, err
 		}
@@ -189,37 +109,12 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// fingerprintExplorerConfig projects a fingerprint onto the ExplorerConfig
-// fields checkpoints and RootTask consult, rebuilding the seeded sampler for
-// sampling fingerprints so checkpoint signatures match.
-func fingerprintExplorerConfig(f Fingerprint) core.ExplorerConfig {
-	cfg := core.ExplorerConfig{
-		Procs:             f.Procs,
-		Clock:             f.Clock,
-		DualClock:         f.DualClock,
-		Transport:         f.Transport,
-		MixingBound:       f.MixingBound,
-		AutoLoopThreshold: f.AutoLoopThreshold,
-		ChoicePoints:      f.ChoicePoints,
-		SampleDepth:       f.SampleDepth,
-	}
-	if f.SampleStrategy != "" {
-		cfg.Sampler = sample.New(sample.Config{
-			Strategy: sample.Strategy(f.SampleStrategy),
-			Samples:  f.Samples,
-			Seed:     f.SampleSeed,
-			Procs:    f.Procs,
-		})
-	}
-	return cfg
-}
-
 // seedFromCheckpoint validates the checkpoint and restores its tally and
 // frontier. The frontier may still contain the root task (a drain before the
 // root completed); rootDone is derived from whether a self-discovery task
 // remains.
 func (c *Coordinator) seedFromCheckpoint(ckp *dexplore.Checkpoint) error {
-	tally, frontier, err := ckp.Restore(c.cfg.Fingerprint.Workload, &c.ecfg)
+	tally, frontier, err := ckp.Restore(c.spec.Workload, &c.ecfg)
 	if err != nil {
 		return err
 	}
@@ -234,38 +129,12 @@ func (c *Coordinator) seedFromCheckpoint(ckp *dexplore.Checkpoint) error {
 	return nil
 }
 
-// Serve starts accepting workers on ln and runs the lease janitor (and the
-// progress monitor when configured). It returns immediately; use Wait for
-// the result. The coordinator owns ln and closes it lateJoinGrace after the
-// exploration ends.
-func (c *Coordinator) Serve(ln net.Listener) {
-	c.mu.Lock()
-	c.ln = ln
-	c.mu.Unlock()
-	go c.acceptLoop(ln)
+// run starts the lease janitor (and the progress monitor when configured).
+// An already-complete resume (or an immediate Stop) finishes at once instead
+// of waiting for a worker that will never be needed.
+func (c *Coordinator) run() {
 	go c.janitor()
-	if c.cfg.OnProgress != nil {
-		c.monitorWG.Add(1)
-		go c.monitor()
-	}
-	// A resumed-but-already-complete checkpoint (or an immediate Stop) must
-	// not wait for a worker that will never be needed.
-	c.mu.Lock()
-	fin := c.finishable()
-	c.mu.Unlock()
-	if fin {
-		c.finalize()
-	}
-}
-
-// startManaged runs a Server-embedded coordinator: the janitor and monitor
-// start, but no listener is owned — the Server attaches already-connected
-// workers instead. Like Serve, an already-complete resume must finish
-// without waiting for a worker.
-func (c *Coordinator) startManaged() {
-	c.managed = true
-	go c.janitor()
-	if c.cfg.OnProgress != nil {
+	if c.job.OnProgress != nil {
 		c.monitorWG.Add(1)
 		go c.monitor()
 	}
@@ -290,17 +159,6 @@ func (c *Coordinator) attachWorker(w *workerConn) bool {
 	w.completed = 0
 	c.workers[w] = struct{}{}
 	return true
-}
-
-// ListenAndServe listens on addr and Serves. It returns the bound listener
-// (for its address) or an error.
-func (c *Coordinator) ListenAndServe(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c.Serve(ln)
-	return ln, nil
 }
 
 // Wait blocks until the exploration ends and returns the merged report (or
@@ -345,90 +203,6 @@ func (c *Coordinator) Abort(err error) {
 	}
 }
 
-// acceptLoop admits workers until the listener closes.
-func (c *Coordinator) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go c.handleConn(conn)
-	}
-}
-
-// handleConn performs the handshake and then runs the worker's read loop.
-func (c *Coordinator) handleConn(conn net.Conn) {
-	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	fr, err := readFrame(conn)
-	if err != nil || fr.Type != msgHello {
-		conn.Close()
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
-	w := &workerConn{conn: conn, name: fr.Worker, slots: fr.Slots, since: time.Now()}
-	if w.name == "" {
-		w.name = conn.RemoteAddr().String()
-	}
-	if w.slots < 1 {
-		w.slots = 1
-	}
-	if fr.Proto != protoVersion {
-		_ = w.send(&frame{Type: msgReject, Reason: fmt.Sprintf("dcoord: protocol version %d, coordinator speaks %d", fr.Proto, protoVersion)})
-		conn.Close()
-		return
-	}
-	if fr.Fingerprint == nil {
-		reason := "dcoord: hello without fingerprint"
-		if fr.AnyWorkload {
-			reason = "dcoord: this coordinator runs a single pinned exploration; any-workload workers need a job-queue server (dampi -serve -queue), or rejoin pinned with -workload and matching flags"
-		}
-		_ = w.send(&frame{Type: msgReject, Reason: reason})
-		conn.Close()
-		return
-	}
-	if err := c.cfg.Fingerprint.Check(*fr.Fingerprint); err != nil {
-		_ = w.send(&frame{Type: msgReject, Reason: err.Error()})
-		conn.Close()
-		return
-	}
-
-	c.mu.Lock()
-	finished := c.finished
-	if !finished {
-		c.workers[w] = struct{}{}
-	}
-	c.mu.Unlock()
-	if finished {
-		_ = w.send(&frame{Type: msgDone})
-		conn.Close()
-		return
-	}
-	if err := w.send(&frame{Type: msgWelcome, LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds()}); err != nil {
-		c.dropWorker(w)
-		return
-	}
-	c.dispatch()
-
-	for {
-		fr, err := readFrame(conn)
-		if err != nil {
-			c.dropWorker(w)
-			return
-		}
-		switch fr.Type {
-		case msgHeartbeat:
-			c.renewLeases(w)
-		case msgResult:
-			if fr.Result != nil {
-				c.handleResult(w, fr.Result)
-			}
-		default:
-			// Unknown frame from a matching-version worker: ignore.
-		}
-	}
-}
-
 // dropWorker unregisters a disconnected (or write-failed) worker and
 // requeues every lease it held.
 func (c *Coordinator) dropWorker(w *workerConn) {
@@ -470,15 +244,12 @@ func (c *Coordinator) requeueLocked(l *lease) error {
 	}
 	c.requeues++
 	c.redelivered[l.key]++
-	if n := c.redelivered[l.key]; n > c.cfg.MaxRedeliveries {
+	if n := c.redelivered[l.key]; n > c.srv.cfg.MaxRedeliveries {
 		return fmt.Errorf("dcoord: task %s lost its lease %d times (redelivery cap %d): poison task or cluster too unstable",
-			l.key, n, c.cfg.MaxRedeliveries)
+			l.key, n, c.srv.cfg.MaxRedeliveries)
 	}
-	if !c.stopped {
-		c.frontier = append(c.frontier, l.task)
-		return nil
-	}
-	// Draining: keep the task for the final checkpoint, but do not reissue.
+	// A draining exploration keeps the task for its final checkpoint;
+	// dispatch does not reissue it.
 	c.frontier = append(c.frontier, l.task)
 	return nil
 }
@@ -489,7 +260,7 @@ func (c *Coordinator) renewLeases(w *workerConn) {
 	c.mu.Lock()
 	for _, l := range c.leases {
 		if l.conn == w {
-			l.expires = now.Add(c.cfg.LeaseTTL)
+			l.expires = now.Add(c.srv.cfg.LeaseTTL)
 		}
 	}
 	c.mu.Unlock()
@@ -498,7 +269,7 @@ func (c *Coordinator) renewLeases(w *workerConn) {
 // leaseCapacity is how many leases a worker may hold at once: its slots plus
 // the configured prefetch depth.
 func (c *Coordinator) leaseCapacity(w *workerConn) int {
-	switch batch := c.cfg.LeaseBatch; {
+	switch batch := c.srv.cfg.LeaseBatch; {
 	case batch > 0:
 		return w.slots + batch
 	case batch < 0:
@@ -523,7 +294,7 @@ func (c *Coordinator) dispatch() {
 		for w := range c.workers {
 			var batch []wireTask
 			for capacity := c.leaseCapacity(w); w.active < capacity; {
-				if max := c.cfg.MaxInterleavings; max > 0 && c.tally.Interleavings+len(c.leases) >= max {
+				if max := c.spec.MaxInterleavings; max > 0 && c.tally.Interleavings+len(c.leases) >= max {
 					break
 				}
 				t := c.popLiveLocked()
@@ -537,14 +308,14 @@ func (c *Coordinator) dispatch() {
 					key:     taskKey(t),
 					conn:    w,
 					granted: now,
-					expires: now.Add(c.cfg.LeaseTTL),
+					expires: now.Add(c.srv.cfg.LeaseTTL),
 				}
 				c.leases[l.id] = l
 				w.active++
 				batch = append(batch, wireTask{Lease: l.id, Task: t, Root: t.Decisions == nil})
 			}
 			if len(batch) > 0 {
-				sends = append(sends, send{w: w, fr: &frame{Type: msgTask, Job: c.cfg.JobID, Tasks: batch}})
+				sends = append(sends, send{w: w, fr: &frame{Type: msgTask, Job: c.job.ID, Tasks: batch}})
 			}
 		}
 	}
@@ -624,12 +395,12 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 		c.tally.FirstTrace = res.Root.FirstTrace
 		c.rootDone = true
 	}
-	if c.cfg.StopOnFirstError && ir.Err != nil {
+	if c.spec.StopOnFirstError && ir.Err != nil {
 		c.stopped = true
 	}
 	c.sinceCkp++
 	var ckp *dexplore.Checkpoint
-	if c.cfg.CheckpointPath != "" && c.sinceCkp >= c.cfg.CheckpointEvery {
+	if c.job.CheckpointPath != "" && c.sinceCkp >= c.srv.cfg.CheckpointEvery {
 		c.sinceCkp = 0
 		ckp = c.checkpointLocked()
 	}
@@ -638,7 +409,7 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 
 	if ckp != nil {
 		// Best-effort: a failed periodic write must not kill the search.
-		_ = ckp.Save(c.cfg.CheckpointPath)
+		_ = ckp.Save(c.job.CheckpointPath)
 	}
 	if fin {
 		c.finalize()
@@ -670,7 +441,7 @@ func (c *Coordinator) finishable() bool {
 	if !c.rootDone {
 		return false
 	}
-	if max := c.cfg.MaxInterleavings; max > 0 && c.tally.Interleavings >= max {
+	if max := c.spec.MaxInterleavings; max > 0 && c.tally.Interleavings >= max {
 		return true
 	}
 	return c.liveFrontierLocked() == 0
@@ -690,8 +461,8 @@ func (c *Coordinator) liveFrontierLocked() int {
 }
 
 // finalize ends the exploration exactly once: terminal report state (cap
-// flag, deterministic error order), final checkpoint, done-frames to every
-// worker, the delayed listener close, and the Wait release.
+// flag, deterministic error order), final checkpoint, jobdone frames to
+// every attached worker, the server's job-end hook, and the Wait release.
 func (c *Coordinator) finalize() {
 	c.mu.Lock()
 	if c.finished {
@@ -701,19 +472,17 @@ func (c *Coordinator) finalize() {
 	c.finished = true
 	c.report = c.tally.Report(&c.ecfg, c.liveFrontierLocked())
 	var ckp *dexplore.Checkpoint
-	if c.cfg.CheckpointPath != "" && !c.noFinalCkp {
+	if c.job.CheckpointPath != "" && !c.noFinalCkp {
 		ckp = c.checkpointLocked()
 	}
 	conns := make([]*workerConn, 0, len(c.workers))
 	for w := range c.workers {
 		conns = append(conns, w)
 	}
-	ln := c.ln
-	managed := c.managed
 	c.mu.Unlock()
 
 	if ckp != nil {
-		if err := ckp.Save(c.cfg.CheckpointPath); err != nil {
+		if err := ckp.Save(c.job.CheckpointPath); err != nil {
 			c.mu.Lock()
 			if c.runErr == nil {
 				c.runErr = fmt.Errorf("dcoord: writing final checkpoint: %w", err)
@@ -722,21 +491,14 @@ func (c *Coordinator) finalize() {
 		}
 	}
 	for _, w := range conns {
-		if managed {
-			// The Server keeps the connection for the next job; the worker
-			// just drops this job's replay contexts.
-			_ = w.send(&frame{Type: msgJobDone, Job: c.cfg.JobID})
-			continue
-		}
-		_ = w.send(&frame{Type: msgDone})
-		w.conn.Close()
-	}
-	if ln != nil {
-		time.AfterFunc(lateJoinGrace, func() { ln.Close() })
+		// The connection stays pooled; the worker just drops this job's
+		// replay contexts.
+		_ = w.send(&frame{Type: msgJobDone, Job: c.job.ID})
 	}
 	close(c.janitorStop)
 	close(c.monitorStop)
 	c.monitorWG.Wait()
+	c.srv.jobEnded(c)
 	close(c.doneCh)
 }
 
@@ -753,14 +515,14 @@ func (c *Coordinator) checkpointLocked() *dexplore.Checkpoint {
 	for _, l := range c.leases {
 		frontier = append(frontier, l.task)
 	}
-	return dexplore.NewCheckpoint(c.cfg.Fingerprint.Workload, &c.ecfg, &c.tally, frontier)
+	return dexplore.NewCheckpoint(c.spec.Workload, &c.ecfg, &c.tally, frontier)
 }
 
 // janitor periodically expires leases: past-TTL (no heartbeat) or past the
 // hard age cap (hung replay under a live heartbeat). Expired tasks requeue
 // under the redelivery cap.
 func (c *Coordinator) janitor() {
-	period := c.cfg.LeaseTTL / 4
+	period := c.srv.cfg.LeaseTTL / 4
 	if period < 5*time.Millisecond {
 		period = 5 * time.Millisecond
 	}
@@ -776,7 +538,7 @@ func (c *Coordinator) janitor() {
 		var failed error
 		c.mu.Lock()
 		for id, l := range c.leases {
-			if now.After(l.expires) || now.Sub(l.granted) > c.cfg.MaxLeaseAge {
+			if now.After(l.expires) || now.Sub(l.granted) > c.srv.cfg.MaxLeaseAge {
 				delete(c.leases, id)
 				if err := c.requeueLocked(l); err != nil && failed == nil {
 					failed = err
@@ -799,14 +561,14 @@ func (c *Coordinator) janitor() {
 // monitor drives the OnProgress callback, sampling the sliding-window rate.
 func (c *Coordinator) monitor() {
 	defer c.monitorWG.Done()
-	ticker := time.NewTicker(c.cfg.ProgressEvery)
+	ticker := time.NewTicker(c.srv.cfg.ProgressEvery)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-c.monitorStop:
 			return
 		case <-ticker.C:
-			c.cfg.OnProgress(c.progress())
+			c.job.OnProgress(c.progress())
 		}
 	}
 }

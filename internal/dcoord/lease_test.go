@@ -15,11 +15,12 @@ import (
 type fakeWorker struct {
 	t       *testing.T
 	conn    net.Conn
+	job     string     // the announced job's id, which results must carry
 	pending []wireTask // tasks unpacked from batched frames, not yet consumed
 }
 
 // dialFake joins addr with the given fingerprint and returns after the
-// welcome frame.
+// welcome frame and the announcement of the server's running job.
 func dialFake(t *testing.T, addr string, fp Fingerprint, name string, slots int) *fakeWorker {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -32,7 +33,17 @@ func dialFake(t *testing.T, addr string, fp Fingerprint, name string, slots int)
 	if fr.Type != msgWelcome {
 		t.Fatalf("fake worker handshake: got %s frame (reason %q), want welcome", fr.Type, fr.Reason)
 	}
+	if fr = f.recv(); fr.Type != msgJob || fr.Job == "" || fr.Spec == nil {
+		t.Fatalf("fake worker: got %s frame (job %q), want the job announcement", fr.Type, fr.Job)
+	}
+	f.job = fr.Job
 	return f
+}
+
+// result delivers one completed task, tagged with the announced job.
+func (f *fakeWorker) result(res *WireResult) {
+	f.t.Helper()
+	f.send(&frame{Type: msgResult, Job: f.job, Result: res})
 }
 
 func (f *fakeWorker) send(fr *frame) {
@@ -86,24 +97,25 @@ func waitStatus(t *testing.T, c *Coordinator, what string, cond func(Status) boo
 	}
 }
 
-// leaseTestConfig is a minimal coordinator config for protocol-level tests
-// (the fake worker never replays, so no program is involved on this side).
-func leaseTestConfig(ttl time.Duration) Config {
-	return Config{
-		Fingerprint: Fingerprint{Workload: "lease-test", Procs: 3, MixingBound: core.Unbounded},
-		LeaseTTL:    ttl,
-	}
+// leaseTestSpec is a minimal job for protocol-level tests (the fake worker
+// never replays, so no program is involved on this side).
+var leaseTestSpec = JobSpec{Workload: "lease-test", Procs: 3, MixingBound: core.Unbounded}
+
+// startLeaseTest runs leaseTestSpec on a one-job server with cfg's knobs.
+func startLeaseTest(t *testing.T, cfg ServerConfig) (*Coordinator, string) {
+	t.Helper()
+	return startCoordinator(t, leaseTestSpec, cfg, JobConfig{})
 }
 
 // TestLeaseExpiryRequeues: a worker that takes a lease and then hangs (no
 // heartbeat) forfeits it; the task is requeued and handed out again.
 func TestLeaseExpiryRequeues(t *testing.T) {
-	cfg := leaseTestConfig(50 * time.Millisecond)
+	cfg := ServerConfig{LeaseTTL: 50 * time.Millisecond}
 	cfg.MaxRedeliveries = 100 // expiry loops back to the same silent worker
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startLeaseTest(t, cfg)
 	defer c.Stop()
 
-	f := dialFake(t, addr, cfg.Fingerprint, "silent", 1)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "silent", 1)
 	defer f.close()
 	task := f.recvTask()
 	if !task.Root || task.Task == nil {
@@ -129,11 +141,11 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 // TestHeartbeatKeepsLeaseAlive: heartbeats renew leases past the TTL, so a
 // slow-but-alive worker keeps its work.
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
-	cfg := leaseTestConfig(60 * time.Millisecond)
-	c, addr := startCoordinator(t, cfg)
+	cfg := ServerConfig{LeaseTTL: 60 * time.Millisecond}
+	c, addr := startLeaseTest(t, cfg)
 	defer c.Stop()
 
-	f := dialFake(t, addr, cfg.Fingerprint, "slow", 1)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "slow", 1)
 	defer f.close()
 	f.recvTask()
 
@@ -151,13 +163,13 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 // TestHardLeaseAgeCapsHeartbeats: a hung replay under a live connection
 // (heartbeats flowing, no result) still forfeits the lease at MaxLeaseAge.
 func TestHardLeaseAgeCapsHeartbeats(t *testing.T) {
-	cfg := leaseTestConfig(50 * time.Millisecond)
+	cfg := ServerConfig{LeaseTTL: 50 * time.Millisecond}
 	cfg.MaxLeaseAge = 150 * time.Millisecond
 	cfg.MaxRedeliveries = 100
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startLeaseTest(t, cfg)
 	defer c.Stop()
 
-	f := dialFake(t, addr, cfg.Fingerprint, "wedged", 1)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "wedged", 1)
 	defer f.close()
 	f.recvTask()
 	done := make(chan struct{})
@@ -183,11 +195,11 @@ func TestHardLeaseAgeCapsHeartbeats(t *testing.T) {
 // task, or a cluster that cannot hold one) aborts the exploration with a
 // clear error instead of looping forever.
 func TestRedeliveryCapAborts(t *testing.T) {
-	cfg := leaseTestConfig(40 * time.Millisecond)
+	cfg := ServerConfig{LeaseTTL: 40 * time.Millisecond}
 	cfg.MaxRedeliveries = 2
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startLeaseTest(t, cfg)
 
-	f := dialFake(t, addr, cfg.Fingerprint, "blackhole", 1)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "blackhole", 1)
 	defer f.close()
 	// Swallow every lease silently; expiry after expiry burns the cap.
 	go func() {
@@ -211,13 +223,13 @@ func TestRedeliveryCapAborts(t *testing.T) {
 // the task was completed elsewhere is dropped — at-least-once delivery,
 // effectively-once merge. A forged duplicate must not corrupt the report.
 func TestLateResultDeduplicated(t *testing.T) {
-	cfg := leaseTestConfig(50 * time.Millisecond)
+	cfg := ServerConfig{LeaseTTL: 50 * time.Millisecond}
 	cfg.MaxRedeliveries = 100
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startLeaseTest(t, cfg)
 	defer c.Stop()
 
 	// The sluggard takes the root lease and sits on it past expiry.
-	slug := dialFake(t, addr, cfg.Fingerprint, "sluggard", 1)
+	slug := dialFake(t, addr, leaseTestSpec.Fingerprint(), "sluggard", 1)
 	defer slug.close()
 	rootFrame := slug.recvTask()
 	waitStatus(t, c, "root lease expiry", func(st Status) bool { return st.Requeues >= 1 })
@@ -225,35 +237,35 @@ func TestLateResultDeduplicated(t *testing.T) {
 	// A second worker completes the requeued root for real: one child task,
 	// one decision point.
 	child := &core.SubtreeTask{Decisions: dec(0, 1, 2), Budget: core.Unbounded, Explorable: true}
-	fin := dialFake(t, addr, cfg.Fingerprint, "finisher", 1)
+	fin := dialFake(t, addr, leaseTestSpec.Fingerprint(), "finisher", 1)
 	defer fin.close()
 	re := fin.recvTask()
-	fin.send(&frame{Type: msgResult, Result: &WireResult{
+	fin.result(&WireResult{
 		Lease:          re.Lease,
 		Key:            taskKey(re.Task),
 		Decisions:      core.NewDecisions(),
 		Children:       []*core.SubtreeTask{child},
 		DecisionPoints: 1,
 		Root:           &RootInfo{WildcardsAnalyzed: 1, FirstTrace: &core.RunTrace{}},
-	}})
+	})
 	waitStatus(t, c, "real root merge", func(st Status) bool { return st.Interleavings == 1 })
 
 	// The sluggard now delivers its stale root result — with a forged error
 	// that must NOT enter the report.
-	slug.send(&frame{Type: msgResult, Result: &WireResult{
+	slug.result(&WireResult{
 		Lease:     rootFrame.Lease,
 		Key:       taskKey(rootFrame.Task),
 		ErrMsg:    "forged late-duplicate error",
 		Decisions: core.NewDecisions(),
-	}})
+	})
 
 	// Finish the child so the exploration ends.
 	cf := fin.recvTask()
-	fin.send(&frame{Type: msgResult, Result: &WireResult{
+	fin.result(&WireResult{
 		Lease:     cf.Lease,
 		Key:       taskKey(cf.Task),
 		Decisions: cf.Task.Decisions,
-	}})
+	})
 
 	rep, err := waitFor(t, c)
 	if err != nil {

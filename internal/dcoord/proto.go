@@ -1,11 +1,14 @@
 // Package dcoord is the distributed exploration service: a coordinator /
 // worker cluster layer that scales the epoch-decision search of
 // internal/dexplore across machines, in the spirit of the paper's
-// distributed-replay outlook. The coordinator owns the frontier of
-// core.SubtreeTask subtrees and the report aggregation; workers connect over
-// TCP, replay subtrees with their own core.RunContext, and stream back
-// results plus discovered expansions. The merged report covers exactly the
-// interleaving set a single-process run would cover.
+// distributed-replay outlook. A Server pools the worker connections and
+// runs jobs over them one at a time, either exactly one (ServeJob, behind
+// `dampi -serve`) or a queue of them (RunJob, behind the job service). Each
+// job's Coordinator owns the frontier of core.SubtreeTask subtrees and the
+// report aggregation; workers connect over TCP, replay subtrees with their
+// own core.RunContext, and stream back results plus discovered expansions.
+// The merged report covers exactly the interleaving set a single-process run
+// would cover.
 //
 // Fault tolerance is lease-based: every task handed to a worker carries a
 // time-bounded lease renewed by heartbeats. A lease expires when its worker
@@ -16,9 +19,9 @@
 // report.
 //
 // The wire protocol is deliberately boring: length-prefixed JSON frames over
-// a plain TCP connection (stdlib only), with a fingerprint handshake that
-// refuses workers whose workload or exploration parameters differ from the
-// coordinator's.
+// a plain TCP connection (stdlib only). A pinned worker's hello carries a
+// fingerprint and its workload parameters; a server never dispatches a job
+// whose parameters differ, and a one-job server refuses the worker at hello.
 package dcoord
 
 import (
@@ -66,8 +69,8 @@ const (
 	msgResult = "result"
 	// msgHeartbeat renews all of the worker's leases.
 	msgHeartbeat = "heartbeat"
-	// msgDone tells the worker the exploration is over; it disconnects and
-	// exits cleanly.
+	// msgDone tells the worker the server is closing (a one-job server's job
+	// is over); it disconnects and exits cleanly.
 	msgDone = "done"
 	// msgJob announces the active job: every task frame that follows belongs
 	// to it until the next job or jobdone frame. The spec carries everything
@@ -104,9 +107,8 @@ type frame struct {
 	// welcome
 	LeaseTTLMillis int64 `json:"lease_ttl_ms,omitempty"`
 
-	// job / jobdone / task / result: the job the frame belongs to. Empty in
-	// single-job explorations (verify.Serve), where there is nothing to
-	// distinguish.
+	// job / jobdone / task / result: the job the frame belongs to. Every
+	// task frame follows the job frame that announced its job.
 	Job  string   `json:"job,omitempty"`
 	Spec *JobSpec `json:"spec,omitempty"`
 
@@ -175,7 +177,8 @@ type RootInfo struct {
 // job: everything a worker needs to rebuild the program (workload name plus
 // the parameters that shape it) and everything that shapes the interleaving
 // space (the Fingerprint fields), plus the job-level exploration bounds. It
-// is the unit the job queue persists and the msgJob frame announces.
+// is the unit the job queue persists, `dampi -serve` runs, and the msgJob
+// frame announces.
 type JobSpec struct {
 	// Workload names the registered program both sides build.
 	Workload string `json:"workload"`
@@ -321,32 +324,6 @@ type Fingerprint struct {
 	Samples        int    `json:"samples,omitempty"`
 	SampleSeed     uint64 `json:"sample_seed,omitempty"`
 	SampleDepth    int    `json:"sample_depth,omitempty"`
-}
-
-// FingerprintFor derives the fingerprint of an exploration: the workload
-// name plus every ExplorerConfig field that shapes the interleaving space.
-// Coordinator and workers build theirs through this one function so the two
-// cannot drift. Sampler parameters are read back from the config's sampler
-// when it is the standard internal/sample implementation.
-func FingerprintFor(workload string, cfg *core.ExplorerConfig) Fingerprint {
-	f := Fingerprint{
-		Workload:          workload,
-		Procs:             cfg.Procs,
-		Clock:             cfg.Clock,
-		DualClock:         cfg.DualClock,
-		Transport:         cfg.Transport,
-		MixingBound:       cfg.MixingBound,
-		AutoLoopThreshold: cfg.AutoLoopThreshold,
-		ChoicePoints:      cfg.ChoicePoints,
-		SampleDepth:       cfg.SampleDepth,
-	}
-	if s, ok := cfg.Sampler.(*sample.Sampler); ok {
-		sc := s.Config()
-		f.SampleStrategy = string(sc.Strategy)
-		f.Samples = sc.Samples
-		f.SampleSeed = sc.Seed
-	}
-	return f
 }
 
 // Check compares a worker's fingerprint against the coordinator's, returning

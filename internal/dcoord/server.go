@@ -11,25 +11,42 @@ import (
 	"dampi/internal/dexplore"
 )
 
-// ServerConfig configures a persistent cluster server: the long-lived side
-// of verification-as-a-service. Unlike a Coordinator (one exploration, then
-// exit), a Server owns the worker pool across jobs: connections survive job
-// boundaries and the next job's leases are dispatched to the workers that
-// are already there.
+// ServerConfig configures a cluster server: the worker pool plus the
+// engine knobs every job it runs shares.
 type ServerConfig struct {
-	// LeaseTTL, MaxLeaseAge, MaxRedeliveries, LeaseBatch, CheckpointEvery
-	// and ProgressEvery carry the per-job engine knobs, with the same
-	// defaults as Config.
-	LeaseTTL        time.Duration
-	MaxLeaseAge     time.Duration
+	// LeaseTTL is how long a lease survives without a heartbeat before its
+	// task is requeued. Default 10s.
+	LeaseTTL time.Duration
+	// MaxLeaseAge is the hard per-lease deadline: even a heartbeating worker
+	// forfeits a lease this old (a hung replay keeps the connection's
+	// heartbeats flowing, so TTL alone cannot catch it). Default 30×LeaseTTL.
+	MaxLeaseAge time.Duration
+	// MaxRedeliveries caps how many times one task may be requeued after
+	// lease loss before the job aborts (a poison task must not loop
+	// forever). Default 3.
 	MaxRedeliveries int
-	LeaseBatch      int
+	// LeaseBatch is the extra leases granted to each worker beyond its slot
+	// count: the prefetch depth that keeps a worker's next tasks in flight
+	// while every slot is replaying, hiding one network round trip per task.
+	// 0 means one extra lease per slot (double buffering); negative disables
+	// prefetch (at most one lease per slot). Each batched task keeps its own
+	// lease, so expiry, requeue and dedup are unchanged.
+	LeaseBatch int
+	// CheckpointEvery is the completions between periodic checkpoint writes
+	// of a job with a CheckpointPath. Default 32.
 	CheckpointEvery int
-	ProgressEvery   time.Duration
+	// ProgressEvery is the period of a job's OnProgress callback. Default 1s.
+	ProgressEvery time.Duration
 	// OnEvent, if non-nil, receives human-readable lifecycle lines (worker
 	// joined, worker lost, job started) for logging.
 	OnEvent func(string)
 }
+
+// lateJoinGrace is how long a one-job server keeps its listener open after
+// its job ends. A worker that dials in that window (one started alongside
+// the server but scheduled after a short exploration already finished) is
+// answered with done and exits cleanly instead of failing on refused dials.
+const lateJoinGrace = 5 * time.Second
 
 // poolWorker is one pooled connection plus the capability half of its
 // handshake: either pinned to one fingerprint (and optionally to the
@@ -44,44 +61,83 @@ type poolWorker struct {
 	scale, iters int
 }
 
-// eligible reports whether this worker can replay a job with the given spec.
-func (p *poolWorker) eligible(spec *JobSpec) bool {
+// eligible returns nil when this worker can replay a job with the given
+// spec, else the mismatch naming the first differing field.
+func (p *poolWorker) eligible(spec *JobSpec) error {
 	if p.any {
-		return true
-	}
-	if p.fp.Check(spec.Fingerprint()) != nil {
-		return false
+		return nil
 	}
 	n := *spec
 	n.Normalize()
+	if err := n.Fingerprint().Check(p.fp); err != nil {
+		return err
+	}
 	if p.scale != 0 && p.scale != n.Scale {
-		return false
+		return fmt.Errorf("dcoord: scale mismatch: coordinator %d, worker %d", n.Scale, p.scale)
 	}
 	if p.iters != 0 && p.iters != n.Iters {
-		return false
+		return fmt.Errorf("dcoord: iters mismatch: coordinator %d, worker %d", n.Iters, p.iters)
 	}
-	return true
+	return nil
 }
 
-// Server is a persistent coordinator: it accepts workers once and runs any
-// number of explorations over them, one at a time. Each RunJob embeds a
-// managed Coordinator for the lease/requeue/dedup machinery; the Server
-// routes frames between the pooled connections and the active job.
+// Server owns a pool of worker connections and runs explorations over it,
+// one at a time. Each job is a Coordinator for the lease/requeue/dedup
+// machinery; the Server routes frames between the pooled connections and
+// the active job. A pooled server (the job queue) keeps its connections
+// across job boundaries; a one-job server (ServeJob, `dampi -serve`) closes
+// when its job ends.
 type Server struct {
 	cfg ServerConfig
+	// only is the one-job server's spec: hellos from pinned workers that
+	// cannot replay it are rejected instead of pooled idle. Nil for a pooled
+	// server.
+	only *JobSpec
 
-	mu      sync.Mutex
-	ln      net.Listener
-	pool    map[*workerConn]*poolWorker
-	cur     *Coordinator
-	curJob  string
-	curSpec JobSpec
-	closed  bool
+	mu     sync.Mutex
+	ln     net.Listener
+	pool   map[*workerConn]*poolWorker
+	cur    *Coordinator
+	closed bool
 }
 
-// NewServer creates a persistent cluster server.
+// NewServer creates a pooled cluster server.
 func NewServer(cfg ServerConfig) *Server {
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = 10 * time.Second
+	}
+	if cfg.MaxLeaseAge <= 0 {
+		cfg.MaxLeaseAge = 30 * cfg.LeaseTTL
+	}
+	if cfg.MaxRedeliveries <= 0 {
+		cfg.MaxRedeliveries = 3
+	}
+	if cfg.CheckpointEvery <= 0 {
+		cfg.CheckpointEvery = 32
+	}
+	if cfg.ProgressEvery <= 0 {
+		cfg.ProgressEvery = time.Second
+	}
 	return &Server{cfg: cfg, pool: make(map[*workerConn]*poolWorker)}
+}
+
+// ServeJob runs a one-job server on ln: it accepts workers and runs exactly
+// one exploration of spec over them, the `dampi -serve` lifecycle. Unlike a
+// pooled server it rejects, at hello, a pinned worker that cannot replay the
+// job, naming the mismatched field. When the job ends every worker is told
+// done before the returned Coordinator's Wait returns, and the listener stays
+// open lateJoinGrace longer so a late worker also exits cleanly. The server
+// owns ln, also when ServeJob fails.
+func ServeJob(ln net.Listener, cfg ServerConfig, spec JobSpec, job JobConfig) (*Coordinator, error) {
+	s := NewServer(cfg)
+	s.only = &spec
+	s.Serve(ln)
+	c, err := s.startJob(spec, job)
+	if err != nil {
+		s.Close(true)
+		return nil, err
+	}
+	return c, nil
 }
 
 // event emits one lifecycle line.
@@ -116,15 +172,6 @@ func (s *Server) ListenAndServe(addr string) (net.Listener, error) {
 	}
 	s.Serve(ln)
 	return ln, nil
-}
-
-// leaseTTL returns the configured or default lease TTL (the welcome frame
-// advertises it before any job exists).
-func (s *Server) leaseTTL() time.Duration {
-	if s.cfg.LeaseTTL > 0 {
-		return s.cfg.LeaseTTL
-	}
-	return 10 * time.Second
 }
 
 // handleConn performs the handshake, registers the worker in the pool (and
@@ -169,17 +216,25 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	if s.only != nil {
+		if err := pw.eligible(s.only); err != nil {
+			s.mu.Unlock()
+			_ = w.send(&frame{Type: msgReject, Reason: err.Error()})
+			conn.Close()
+			return
+		}
+	}
 	s.pool[w] = pw
-	cur, job, spec := s.cur, s.curJob, s.curSpec
+	cur := s.cur
 	s.mu.Unlock()
 
-	if err := w.send(&frame{Type: msgWelcome, LeaseTTLMillis: s.leaseTTL().Milliseconds()}); err != nil {
+	if err := w.send(&frame{Type: msgWelcome, LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds()}); err != nil {
 		s.removeWorker(w)
 		return
 	}
 	s.event("worker %s joined (%d slots, any-workload=%v)", w.name, w.slots, pw.any)
-	if cur != nil && pw.eligible(&spec) {
-		if err := w.send(&frame{Type: msgJob, Job: job, Spec: &spec}); err != nil {
+	if cur != nil && pw.eligible(&cur.spec) == nil {
+		if err := w.send(&frame{Type: msgJob, Job: cur.job.ID, Spec: &cur.spec}); err != nil {
 			s.removeWorker(w)
 			return
 		}
@@ -195,7 +250,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		s.mu.Lock()
-		cur, job := s.cur, s.curJob
+		cur := s.cur
 		s.mu.Unlock()
 		switch fr.Type {
 		case msgHeartbeat:
@@ -206,7 +261,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// Results for finished jobs are dropped at the handleResult
 			// dedup (the old coordinator is finished); results for unknown
 			// jobs are dropped here.
-			if cur != nil && fr.Result != nil && fr.Job == job {
+			if cur != nil && fr.Result != nil && fr.Job == cur.job.ID {
 				cur.handleResult(w, fr.Result)
 			}
 		default:
@@ -233,7 +288,8 @@ func (s *Server) removeWorker(w *workerConn) {
 	w.conn.Close()
 }
 
-// JobConfig carries the per-job inputs RunJob needs beyond the spec.
+// JobConfig carries the per-job inputs RunJob and ServeJob need beyond the
+// spec.
 type JobConfig struct {
 	// ID tags every frame of this job.
 	ID string
@@ -242,7 +298,8 @@ type JobConfig struct {
 	CheckpointPath string
 	// Resume, if non-nil, seeds the job from a saved checkpoint.
 	Resume *dexplore.Checkpoint
-	// OnProgress, if non-nil, receives throughput snapshots.
+	// OnProgress, if non-nil, receives throughput snapshots every
+	// ServerConfig.ProgressEvery.
 	OnProgress func(dexplore.Progress)
 }
 
@@ -251,27 +308,23 @@ type JobConfig struct {
 // RunJob concurrently is a caller bug and returns an error. Workers joining
 // mid-job are attached on arrival; workers that die mid-job lose their
 // leases to the usual requeue machinery.
-func (s *Server) RunJob(spec JobSpec, jcfg JobConfig) (*core.Report, error) {
+func (s *Server) RunJob(spec JobSpec, job JobConfig) (*core.Report, error) {
+	c, err := s.startJob(spec, job)
+	if err != nil {
+		return nil, err
+	}
+	return c.Wait()
+}
+
+// startJob makes spec the active job: it announces the job to every eligible
+// pooled worker and leases the first tasks. The job clears itself through
+// jobEnded when it finishes.
+func (s *Server) startJob(spec JobSpec, job JobConfig) (*Coordinator, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := Config{
-		Fingerprint:      spec.Fingerprint(),
-		JobID:            jcfg.ID,
-		MaxInterleavings: spec.MaxInterleavings,
-		StopOnFirstError: spec.StopOnFirstError,
-		LeaseTTL:         s.cfg.LeaseTTL,
-		MaxLeaseAge:      s.cfg.MaxLeaseAge,
-		MaxRedeliveries:  s.cfg.MaxRedeliveries,
-		LeaseBatch:       s.cfg.LeaseBatch,
-		CheckpointPath:   jcfg.CheckpointPath,
-		CheckpointEvery:  s.cfg.CheckpointEvery,
-		Resume:           jcfg.Resume,
-		OnProgress:       jcfg.OnProgress,
-		ProgressEvery:    s.cfg.ProgressEvery,
-	}
-	c, err := New(cfg)
+	c, err := newCoordinator(s, spec, job)
 	if err != nil {
 		return nil, err
 	}
@@ -283,40 +336,43 @@ func (s *Server) RunJob(spec JobSpec, jcfg JobConfig) (*core.Report, error) {
 	}
 	if s.cur != nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("dcoord: job %s still running", s.curJob)
+		return nil, fmt.Errorf("dcoord: job %s still running", s.cur.job.ID)
 	}
 	s.cur = c
-	s.curJob = jcfg.ID
-	s.curSpec = spec
 	var attach []*workerConn
 	for w, pw := range s.pool {
-		if pw.eligible(&spec) {
+		if pw.eligible(&spec) == nil {
 			attach = append(attach, w)
 		}
 	}
 	s.mu.Unlock()
 
-	s.event("job %s started: %s procs=%d (%d eligible workers)", jcfg.ID, spec.Workload, spec.Procs, len(attach))
-	c.startManaged()
+	s.event("job %s started: %s procs=%d (%d eligible workers)", job.ID, spec.Workload, spec.Procs, len(attach))
+	c.run()
 	for _, w := range attach {
 		// The job announcement must precede any task frame on this
 		// connection; both go through w.send, so the order holds.
-		if err := w.send(&frame{Type: msgJob, Job: jcfg.ID, Spec: &spec}); err != nil {
+		if err := w.send(&frame{Type: msgJob, Job: job.ID, Spec: &spec}); err != nil {
 			s.removeWorker(w)
 			continue
 		}
 		c.attachWorker(w)
 	}
 	c.dispatch()
-	rep, err := c.Wait()
+	return c, nil
+}
 
+// jobEnded clears c as the active job once it has finished. A one-job server
+// then closes: every worker is told done.
+func (s *Server) jobEnded(c *Coordinator) {
 	s.mu.Lock()
 	if s.cur == c {
 		s.cur = nil
-		s.curJob = ""
 	}
 	s.mu.Unlock()
-	return rep, err
+	if s.only != nil {
+		s.Close(false)
+	}
 }
 
 // CancelJob drains the named active job: no new leases, in-flight replays
@@ -324,9 +380,9 @@ func (s *Server) RunJob(spec JobSpec, jcfg JobConfig) (*core.Report, error) {
 // was the active one.
 func (s *Server) CancelJob(id string) bool {
 	s.mu.Lock()
-	cur, job := s.cur, s.curJob
+	cur := s.cur
 	s.mu.Unlock()
-	if cur == nil || job != id {
+	if cur == nil || cur.job.ID != id {
 		return false
 	}
 	cur.Stop()
@@ -336,9 +392,10 @@ func (s *Server) CancelJob(id string) bool {
 // Close shuts the server down. Graceful (kill=false): the active job drains
 // via its own Stop path first if the caller wants that — Close itself just
 // stops accepting, tells idle workers the service is over, and closes every
-// connection. Abrupt (kill=true): connections and listener are torn down
-// immediately with no goodbye frames, simulating a crash; tests use it to
-// exercise WAL recovery.
+// connection. A one-job server keeps answering hellos with done for
+// lateJoinGrace before its listener closes. Abrupt (kill=true): connections
+// and listener are torn down immediately with no goodbye frames, simulating
+// a crash; tests use it to exercise WAL recovery.
 func (s *Server) Close(kill bool) {
 	s.mu.Lock()
 	if s.closed {
@@ -352,9 +409,16 @@ func (s *Server) Close(kill bool) {
 	for w := range s.pool {
 		conns = append(conns, w)
 	}
+	// Emptying the pool keeps the read loops that end below from reporting
+	// these workers as lost.
+	s.pool = make(map[*workerConn]*poolWorker)
 	s.mu.Unlock()
 
-	if ln != nil {
+	switch {
+	case ln == nil:
+	case s.only != nil && !kill:
+		time.AfterFunc(lateJoinGrace, func() { ln.Close() })
+	default:
 		ln.Close()
 	}
 	for _, w := range conns {
@@ -376,12 +440,12 @@ func (s *Server) Close(kill bool) {
 // running.
 func (s *Server) CurrentStatus() (Status, string, bool) {
 	s.mu.Lock()
-	cur, job := s.cur, s.curJob
+	cur := s.cur
 	s.mu.Unlock()
 	if cur == nil {
 		return Status{}, "", false
 	}
-	return cur.Status(), job, true
+	return cur.Status(), cur.job.ID, true
 }
 
 // PoolWorkerStatus is one pooled connection's view for service status: the

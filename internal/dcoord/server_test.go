@@ -168,10 +168,11 @@ func TestServerSkipsIneligiblePinnedWorker(t *testing.T) {
 
 	// A worker pinned to a 5-proc fanin exploration: wrong procs for the job.
 	pinnedCfg := core.ExplorerConfig{Procs: 5, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1, Program: fanInError}
+	pinnedSpec := specFor("fanin", pinnedCfg)
 	pinned := NewWorker(WorkerConfig{
 		Addr:        addr,
 		Name:        "pinned",
-		Fingerprint: FingerprintFor("fanin", &pinnedCfg),
+		Fingerprint: pinnedSpec.Fingerprint(),
 		Explorer:    pinnedCfg,
 	})
 	var wg sync.WaitGroup
@@ -225,8 +226,7 @@ func TestServerFactoryFailureFailsJob(t *testing.T) {
 func TestServerRejectsConcurrentJobs(t *testing.T) {
 	s := NewServer(ServerConfig{})
 	s.mu.Lock()
-	s.cur = &Coordinator{} // simulate an active job without running one
-	s.curJob = "busy"
+	s.cur = &Coordinator{job: JobConfig{ID: "busy"}} // simulate an active job without running one
 	s.mu.Unlock()
 	spec := JobSpec{Workload: "fanin", Procs: 3, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1}
 	if _, err := s.RunJob(spec, JobConfig{ID: "second"}); err == nil || !strings.Contains(err.Error(), "still running") {
@@ -253,8 +253,117 @@ func TestPoolWorkerEligible(t *testing.T) {
 		{"pinned-wrong-iters", poolWorker{fp: fp, iters: 4}, false},
 	}
 	for _, tc := range cases {
-		if got := tc.pw.eligible(&spec); got != tc.want {
+		if got := tc.pw.eligible(&spec) == nil; got != tc.want {
 			t.Errorf("%s: eligible = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestServeJobRejectsIneligiblePinnedWorker: a one-job server refuses, at
+// hello, a pinned worker whose program was built with other workload
+// parameters, naming the field; it does not pool the worker idle. Before the
+// one-job server checked them, such a worker replayed a different program
+// into the report.
+func TestServeJobRejectsIneligiblePinnedWorker(t *testing.T) {
+	spec := JobSpec{Workload: "fanin", Procs: 3, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1, Scale: 50, Iters: 2}
+	c, addr := startCoordinator(t, spec, ServerConfig{LeaseTTL: time.Second}, JobConfig{})
+	defer c.Stop()
+	cfg := spec.ExplorerConfig()
+	cfg.Program = fanInError
+	for _, tc := range []struct {
+		field        string
+		scale, iters int
+	}{
+		{"scale", 100, 2},
+		{"iters", 50, 6},
+	} {
+		w := NewWorker(WorkerConfig{
+			Addr:        addr,
+			Name:        "mismatched-" + tc.field,
+			Fingerprint: spec.Fingerprint(),
+			Explorer:    cfg,
+			Scale:       tc.scale,
+			Iters:       tc.iters,
+		})
+		done := make(chan error, 1)
+		go func() { done <- w.Run() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.field+" mismatch") {
+				t.Errorf("%s: worker Run = %v, want a %s mismatch rejection", tc.field, err, tc.field)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: rejected worker kept retrying instead of exiting", tc.field)
+		}
+	}
+	if pool := c.srv.Workers(); len(pool) != 0 {
+		t.Errorf("rejected workers were pooled: %+v", pool)
+	}
+	if st := c.Status(); st.State != "exploring" || st.Interleavings != 0 {
+		t.Errorf("job touched by rejected workers: %+v", st)
+	}
+}
+
+// TestServeJobMixesPinnedAndAnyWorkers: one pinned worker and one
+// any-workload worker (which builds its program from the announced spec)
+// serve the same one-job server, and the merged report matches the serial
+// run.
+func TestServeJobMixesPinnedAndAnyWorkers(t *testing.T) {
+	f := newTestFactory()
+	spec := JobSpec{Workload: "fanin", Procs: 4, Clock: core.Lamport, Transport: core.Separate, MixingBound: core.Unbounded}
+	cfg, err := f.config(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := runSerial(t, cfg)
+
+	// One lease per worker, and no replay before both workers are pooled:
+	// the root's children then go one to each worker, so both serve the job.
+	c, addr := startCoordinator(t, spec, ServerConfig{LeaseTTL: 2 * time.Second, LeaseBatch: -1}, JobConfig{})
+	bothJoined := func() {
+		for deadline := time.Now().Add(10 * time.Second); len(c.srv.Workers()) < 2 && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	gated := func(cfg core.ExplorerConfig) core.ExplorerConfig {
+		inner := cfg.Runner
+		cfg.Runner = func(ec *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
+			bothJoined()
+			return inner(ec, d)
+		}
+		return cfg
+	}
+	workers := []*Worker{
+		NewWorker(WorkerConfig{Addr: addr, Name: "any", Factory: func(spec JobSpec) (core.ExplorerConfig, error) {
+			cfg, err := f.config(spec)
+			return gated(cfg), err
+		}}),
+		NewWorker(WorkerConfig{Addr: addr, Name: "pinned", Fingerprint: spec.Fingerprint(), Explorer: gated(cfg)}),
+	}
+	var wg sync.WaitGroup
+	for _, w := range workers {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	rep, err := waitFor(t, c)
+	if err != nil {
+		t.Fatalf("cluster explore: %v", err)
+	}
+	wg.Wait()
+	checkSameReport(t, "pinned+any", serial, rep)
+	st := c.Status()
+	if len(st.Workers) != 2 {
+		t.Fatalf("workers = %+v, want the pinned and the any-workload worker", st.Workers)
+	}
+	for _, ws := range st.Workers {
+		if ws.Completed == 0 {
+			t.Errorf("worker %s merged no results: %+v", ws.Name, st.Workers)
 		}
 	}
 }

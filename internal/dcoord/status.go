@@ -68,8 +68,8 @@ func (c *Coordinator) Status() Status {
 	c.rate.Observe(now, c.tally.Interleavings)
 	st := Status{
 		State:           "exploring",
-		Workload:        c.cfg.Fingerprint.Workload,
-		Procs:           c.cfg.Fingerprint.Procs,
+		Workload:        c.spec.Workload,
+		Procs:           c.spec.Procs,
 		ElapsedSec:      elapsed.Seconds(),
 		Interleavings:   c.tally.Interleavings,
 		Errors:          len(c.tally.Errors),

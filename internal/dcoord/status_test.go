@@ -13,11 +13,11 @@ import (
 // TestStatusEndpointJSON: /status serves the live snapshot with the fields
 // dashboards depend on, including per-worker lease state.
 func TestStatusEndpointJSON(t *testing.T) {
-	cfg := leaseTestConfig(time.Second)
-	c, addr := startCoordinator(t, cfg)
+	cfg := ServerConfig{LeaseTTL: time.Second}
+	c, addr := startLeaseTest(t, cfg)
 	defer c.Stop()
 
-	f := dialFake(t, addr, cfg.Fingerprint, "observer", 2)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "observer", 2)
 	defer f.close()
 	f.recvTask() // hold the root lease so active_leases is visible
 
@@ -56,11 +56,11 @@ func TestStatusEndpointJSON(t *testing.T) {
 // TestMetricsEndpoint: /metrics serves Prometheus text exposition with the
 // advertised metric names and per-worker labels.
 func TestMetricsEndpoint(t *testing.T) {
-	cfg := leaseTestConfig(time.Second)
-	c, addr := startCoordinator(t, cfg)
+	cfg := ServerConfig{LeaseTTL: time.Second}
+	c, addr := startLeaseTest(t, cfg)
 	defer c.Stop()
 
-	f := dialFake(t, addr, cfg.Fingerprint, "scraped", 1)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "scraped", 1)
 	defer f.close()
 	f.recvTask()
 
@@ -115,10 +115,10 @@ var workerGoldenFields = []string{
 
 // TestStatusGoldenFieldSet pins the exact JSON key sets of /status.
 func TestStatusGoldenFieldSet(t *testing.T) {
-	cfg := leaseTestConfig(time.Second)
-	c, addr := startCoordinator(t, cfg)
+	cfg := ServerConfig{LeaseTTL: time.Second}
+	c, addr := startLeaseTest(t, cfg)
 	defer c.Stop()
-	f := dialFake(t, addr, cfg.Fingerprint, "golden", 1)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "golden", 1)
 	defer f.close()
 	f.recvTask()
 
@@ -158,10 +158,10 @@ var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-
 // comment or a sample the Prometheus text format accepts, and every sample is
 // preceded by its # TYPE declaration.
 func TestMetricsExpositionParses(t *testing.T) {
-	cfg := leaseTestConfig(time.Second)
-	c, addr := startCoordinator(t, cfg)
+	cfg := ServerConfig{LeaseTTL: time.Second}
+	c, addr := startLeaseTest(t, cfg)
 	defer c.Stop()
-	f := dialFake(t, addr, cfg.Fingerprint, "parsed", 1)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "parsed", 1)
 	defer f.close()
 	f.recvTask()
 
@@ -215,23 +215,23 @@ func TestMetricsExpositionParses(t *testing.T) {
 // TestStatusStateTransitions: the state field tracks the coordinator's
 // lifecycle from exploring through done.
 func TestStatusStateTransitions(t *testing.T) {
-	cfg := leaseTestConfig(time.Second)
-	c, addr := startCoordinator(t, cfg)
+	cfg := ServerConfig{LeaseTTL: time.Second}
+	c, addr := startLeaseTest(t, cfg)
 
 	if st := c.Status(); st.State != "exploring" {
 		t.Errorf("initial state = %q, want exploring", st.State)
 	}
 
 	// Complete the root with no children: the exploration finishes.
-	f := dialFake(t, addr, cfg.Fingerprint, "oneshot", 1)
+	f := dialFake(t, addr, leaseTestSpec.Fingerprint(), "oneshot", 1)
 	defer f.close()
 	fr := f.recvTask()
-	f.send(&frame{Type: msgResult, Result: &WireResult{
+	f.result(&WireResult{
 		Lease:     fr.Lease,
 		Key:       taskKey(fr.Task),
 		Decisions: fr.Task.Decisions,
 		Root:      &RootInfo{},
-	}})
+	})
 	if _, err := waitFor(t, c); err != nil {
 		t.Fatalf("explore: %v", err)
 	}

@@ -36,10 +36,11 @@ type WorkerConfig struct {
 	// optional for pinned ones (the pinned Explorer is used instead).
 	Factory func(spec JobSpec) (core.ExplorerConfig, error)
 	// Scale and Iters are the workload parameters a pinned worker's program
-	// was built with, advertised in the handshake so a job-queue server only
-	// dispatches jobs with matching parameters. 0 means unknown (library
-	// callers), which matches any job — those callers must themselves ensure
-	// every node builds the identical program.
+	// was built with, advertised in the handshake so a server only dispatches
+	// jobs with matching parameters (a one-job server rejects the worker
+	// otherwise). 0 means unknown (library callers), which matches any job —
+	// those callers must themselves ensure every node builds the identical
+	// program.
 	Scale int
 	Iters int
 	// DialTimeout bounds one connection attempt. Default 5s.
@@ -260,7 +261,8 @@ func (w *Worker) runtimeFor(job string, spec *JobSpec) *jobRuntime {
 		rt.cfg = cfg
 		return rt
 	}
-	if err := w.cfg.Fingerprint.Check(spec.Fingerprint()); err != nil {
+	pinned := poolWorker{fp: w.cfg.Fingerprint, scale: w.cfg.Scale, iters: w.cfg.Iters}
+	if err := pinned.eligible(spec); err != nil {
 		// The server checks eligibility before dispatching, so this is a
 		// server bug; fail the job loudly rather than corrupt its report.
 		rt.err = fmt.Sprintf("dcoord: job spec does not match pinned worker: %v", err)
@@ -399,13 +401,9 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 		case <-sessDone:
 		}
 	}()
-	// Job runtimes, keyed by job id. Pinned workers pre-seed the empty id:
-	// a single-job coordinator (verify.Serve) announces no jobs and tags no
-	// frames, so its tasks resolve to the pinned program.
+	// Job runtimes, keyed by job id: every task frame follows the job
+	// announcement it belongs to.
 	runtimes := make(map[string]*jobRuntime)
-	if w.cfg.Explorer.Program != nil || w.cfg.Explorer.Runner != nil {
-		runtimes[""] = &jobRuntime{cfg: w.cfg.Explorer}
-	}
 read:
 	for {
 		fr, err := readFrame(conn)
@@ -422,11 +420,7 @@ read:
 			// sequentially, so old runtimes (and their pooled contexts) are
 			// dropped. In-flight slots keep their own references.
 			rt := w.runtimeFor(fr.Job, fr.Spec)
-			seed := runtimes[""]
 			runtimes = map[string]*jobRuntime{fr.Job: rt}
-			if seed != nil {
-				runtimes[""] = seed
-			}
 			if rt.err != "" {
 				w.event("job %s unrunnable: %s", fr.Job, rt.err)
 			} else {

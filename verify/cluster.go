@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"dampi/internal/core"
 	"dampi/internal/dcoord"
 	"dampi/internal/dexplore"
 	"dampi/mpi"
@@ -43,43 +42,51 @@ type ClusterConfig struct {
 	Slots int
 	// WorkerName identifies the worker in status output (default host:pid).
 	WorkerName string
-	// Scale and Iters are the workload parameters the worker's program was
-	// built with. Single-job coordinators ignore them; a job-queue server
-	// uses them to dispatch only matching jobs to a pinned worker (0 =
-	// unknown, matches any job).
+	// Scale and Iters are the workload parameters the program is built
+	// with. Serve puts them in the job spec (0 = the CLI defaults, 100 and
+	// 4), which an any-workload worker builds its program from; a pinned
+	// worker built with other values is rejected at hello. Join advertises
+	// them (0 = unknown, matches any job).
 	Scale int
 	Iters int
-	// OnEvent, if non-nil, receives worker lifecycle lines for logging.
+	// OnEvent, if non-nil, receives lifecycle lines for logging: worker
+	// joined/lost and job started on the coordinator, connected, job and
+	// rejected on a worker.
 	OnEvent func(string)
 }
 
-// explorerConfig translates the public Config to the core form (program may
-// be nil on the coordinator, which never replays), including the
-// choice-point and schedule-sampling configuration.
-func (cfg *ClusterConfig) explorerConfig(program func(p *mpi.Proc) error) (core.ExplorerConfig, error) {
-	ecfg := core.ExplorerConfig{
+// jobSpec translates the cluster configuration into the job spec both sides
+// derive everything from: the coordinator runs it, and a pinned worker takes
+// its fingerprint and replay configuration from it.
+func (cfg *ClusterConfig) jobSpec() (dcoord.JobSpec, error) {
+	spec := dcoord.JobSpec{
+		Workload:          cfg.Workload,
 		Procs:             cfg.Procs,
-		Program:           program,
+		Scale:             cfg.Scale,
+		Iters:             cfg.Iters,
 		Clock:             cfg.Clock,
 		DualClock:         cfg.DualClock,
 		Transport:         cfg.Transport,
-		AutoLoopThreshold: cfg.AutoLoopThreshold,
 		MixingBound:       cfg.MixingBound,
+		AutoLoopThreshold: cfg.AutoLoopThreshold,
+		ChoicePoints:      cfg.ChoicePoints,
+		SampleDepth:       cfg.SampleDepth,
+		MaxInterleavings:  cfg.MaxInterleavings,
+		StopOnFirstError:  cfg.StopOnFirstError,
 	}
-	if err := cfg.configureSampling(&ecfg); err != nil {
-		return core.ExplorerConfig{}, err
-	}
-	return ecfg, nil
-}
-
-// fingerprint derives the compatibility fingerprint both Serve and Join
-// exchange in the handshake.
-func (cfg *ClusterConfig) fingerprint() (dcoord.Fingerprint, error) {
-	ecfg, err := cfg.explorerConfig(nil)
+	strat, err := cfg.samplingStrategy()
 	if err != nil {
-		return dcoord.Fingerprint{}, err
+		return dcoord.JobSpec{}, err
 	}
-	return dcoord.FingerprintFor(cfg.Workload, &ecfg), nil
+	if strat != "" {
+		spec.SampleStrategy = string(strat)
+		spec.Samples = cfg.Samples
+		spec.SampleSeed = cfg.Seed
+	}
+	// Normalize turns choice points on for a sampling spec, as
+	// configureSampling does for local runs.
+	spec.Normalize()
+	return spec, nil
 }
 
 // Coordinator is the coordinator side of a distributed verification. It owns
@@ -115,33 +122,33 @@ func Serve(cfg ClusterConfig) (*Coordinator, error) {
 	if cfg.Resume && cfg.CheckpointFile == "" {
 		return nil, fmt.Errorf("verify: Resume requires CheckpointFile")
 	}
-	fp, err := cfg.fingerprint()
+	spec, err := cfg.jobSpec()
 	if err != nil {
 		return nil, err
 	}
-	dcfg := dcoord.Config{
-		Fingerprint:      fp,
-		MaxInterleavings: cfg.MaxInterleavings,
-		StopOnFirstError: cfg.StopOnFirstError,
-		LeaseTTL:         cfg.LeaseTTL,
-		MaxRedeliveries:  cfg.MaxRedeliveries,
-		CheckpointPath:   cfg.CheckpointFile,
-		CheckpointEvery:  cfg.CheckpointEvery,
-		OnProgress:       cfg.OnProgress,
-		ProgressEvery:    cfg.ProgressEvery,
+	job := dcoord.JobConfig{
+		ID:             spec.Key()[:12],
+		CheckpointPath: cfg.CheckpointFile,
+		OnProgress:     cfg.OnProgress,
 	}
 	if cfg.Resume {
 		ckp, err := dexplore.LoadCheckpoint(cfg.CheckpointFile)
 		if err != nil {
 			return nil, fmt.Errorf("verify: loading checkpoint: %w", err)
 		}
-		dcfg.Resume = ckp
+		job.Resume = ckp
 	}
-	c, err := dcoord.New(dcfg)
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := c.ListenAndServe(cfg.Addr)
+	c, err := dcoord.ServeJob(ln, dcoord.ServerConfig{
+		LeaseTTL:        cfg.LeaseTTL,
+		MaxRedeliveries: cfg.MaxRedeliveries,
+		CheckpointEvery: cfg.CheckpointEvery,
+		ProgressEvery:   cfg.ProgressEvery,
+		OnEvent:         cfg.OnEvent,
+	}, spec, job)
 	if err != nil {
 		return nil, err
 	}
@@ -198,19 +205,17 @@ func Join(cfg ClusterConfig, program func(p *mpi.Proc) error) (*Worker, error) {
 	if cfg.Workload == "" {
 		return nil, fmt.Errorf("verify: distributed verification requires a Workload name")
 	}
-	fp, err := cfg.fingerprint()
+	spec, err := cfg.jobSpec()
 	if err != nil {
 		return nil, err
 	}
-	ecfg, err := cfg.explorerConfig(program)
-	if err != nil {
-		return nil, err
-	}
+	ecfg := spec.ExplorerConfig()
+	ecfg.Program = program
 	w := dcoord.NewWorker(dcoord.WorkerConfig{
 		Addr:        cfg.Addr,
 		Name:        cfg.WorkerName,
 		Slots:       cfg.Slots,
-		Fingerprint: fp,
+		Fingerprint: spec.Fingerprint(),
 		Explorer:    ecfg,
 		Scale:       cfg.Scale,
 		Iters:       cfg.Iters,

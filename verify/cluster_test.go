@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dampi/verify"
 )
@@ -84,6 +85,41 @@ func TestClusterMatchesLocalRun(t *testing.T) {
 		t.Fatalf("/status after completion: %v (%v)", err, resp)
 	}
 	resp.Body.Close()
+}
+
+// TestServeRejectsWorkerWithOtherIters: a pinned worker whose program was
+// built with other workload parameters than the coordinator's job is refused
+// at hello with the field named, instead of replaying a different program
+// into the report.
+func TestServeRejectsWorkerWithOtherIters(t *testing.T) {
+	ccfg := verify.ClusterConfig{
+		Config:   verify.Config{Procs: 3},
+		Workload: "racy",
+		Addr:     "127.0.0.1:0",
+		Iters:    2,
+	}
+	c, err := verify.Serve(ccfg)
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer c.Stop()
+	wcfg := ccfg
+	wcfg.Addr = c.Addr().String()
+	wcfg.Iters = 6
+	w, err := verify.Join(wcfg, racyProgram)
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Run() }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "iters mismatch") {
+			t.Fatalf("worker Run = %v, want an iters mismatch rejection", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("mismatched worker neither was rejected nor finished")
+	}
 }
 
 // TestServeRejectsLocalOnlyOptions: options whose implementation requires

@@ -183,27 +183,32 @@ const (
 	ModeSample     = "sample"
 )
 
+// samplingStrategy validates Mode and returns the schedule-sampling
+// strategy, "" for exhaustive exploration. The local engines
+// (configureSampling) and the cluster job spec both read the mode through it.
+func (cfg *Config) samplingStrategy() (sample.Strategy, error) {
+	switch cfg.Mode {
+	case "", ModeExhaustive:
+		return "", nil
+	case ModeSample:
+		return sample.ParseStrategy(cfg.SampleStrategy)
+	}
+	return "", fmt.Errorf("verify: unknown Mode %q (want %q or %q)", cfg.Mode, ModeExhaustive, ModeSample)
+}
+
 // configureSampling applies the Mode/ChoicePoints/sampling fields of cfg to
 // an explorer configuration: choice-point recording, the depth bound, and
-// (in sample mode) the seeded sampler. Both the local engines and the
-// cluster layer derive their configurations through this one function.
+// (in sample mode) the seeded sampler.
 func (cfg *Config) configureSampling(ecfg *core.ExplorerConfig) error {
 	ecfg.ChoicePoints = cfg.ChoicePoints
 	ecfg.SampleDepth = cfg.SampleDepth
-	switch cfg.Mode {
-	case "", ModeExhaustive:
-		return nil
-	case ModeSample:
-	default:
-		return fmt.Errorf("verify: unknown Mode %q (want %q or %q)", cfg.Mode, ModeExhaustive, ModeSample)
+	strat, err := cfg.samplingStrategy()
+	if err != nil || strat == "" {
+		return err
 	}
 	// Sampling walks flip completion and probe outcomes too; without choice
 	// points the sampled space would silently shrink to wildcard sources.
 	ecfg.ChoicePoints = true
-	strat, err := sample.ParseStrategy(cfg.SampleStrategy)
-	if err != nil {
-		return err
-	}
 	ecfg.Sampler = sample.New(sample.Config{
 		Strategy: strat,
 		Samples:  cfg.Samples,
